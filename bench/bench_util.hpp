@@ -202,8 +202,14 @@ class JsonRecords {
   }
 
  private:
+  // Appends into one string: chained operator+ on temporaries trips
+  // GCC 12's -Wrestrict false positive at -O3.
   void push(const char* key, const std::string& serialized) {
-    records_.back().push_back("\"" + std::string(key) + "\": " + serialized);
+    std::string entry = "\"";
+    entry += key;
+    entry += "\": ";
+    entry += serialized;
+    records_.back().push_back(std::move(entry));
   }
   std::vector<std::vector<std::string>> records_;  // "key": value strings
 };

@@ -232,8 +232,13 @@ std::vector<bool> sequential_mis(const Graph& g,
 }
 
 std::vector<NodeId> sequential_maximal_matching(const Graph& g) {
+  return sequential_maximal_matching(g, g.edges());
+}
+
+std::vector<NodeId> sequential_maximal_matching(
+    const Graph& g, const std::vector<Graph::Edge>& order) {
   std::vector<NodeId> mate(static_cast<std::size_t>(g.num_nodes()), kNoNode);
-  for (auto [u, v] : g.edges()) {
+  for (auto [u, v] : order) {
     if (mate[u] == kNoNode && mate[v] == kNoNode) {
       mate[u] = v;
       mate[v] = u;
@@ -243,9 +248,16 @@ std::vector<NodeId> sequential_maximal_matching(const Graph& g) {
 }
 
 std::vector<Value> sequential_vertex_coloring(const Graph& g) {
+  std::vector<NodeId> order(static_cast<std::size_t>(g.num_nodes()));
+  std::iota(order.begin(), order.end(), NodeId{0});
+  return sequential_vertex_coloring(g, order);
+}
+
+std::vector<Value> sequential_vertex_coloring(
+    const Graph& g, const std::vector<NodeId>& order) {
   const Value palette = g.max_degree() + 1;
   std::vector<Value> color(static_cast<std::size_t>(g.num_nodes()), 0);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+  for (NodeId v : order) {
     std::vector<bool> used(static_cast<std::size_t>(palette + 1), false);
     for (NodeId u : g.neighbors(v)) {
       if (color[u] >= 1 && color[u] <= palette) used[color[u]] = true;
@@ -262,17 +274,21 @@ std::vector<Value> sequential_vertex_coloring(const Graph& g) {
 }
 
 std::vector<std::vector<Value>> sequential_edge_coloring(const Graph& g) {
+  return sequential_edge_coloring(g, g.edges());
+}
+
+std::vector<std::vector<Value>> sequential_edge_coloring(
+    const Graph& g, const std::vector<Graph::Edge>& order) {
   const Value palette = std::max<Value>(1, 2 * g.max_degree() - 1);
   std::vector<std::vector<Value>> out(static_cast<std::size_t>(g.num_nodes()));
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     out[v].assign(g.neighbors(v).size(), 0);
   }
-  auto slot = [&g](NodeId v, NodeId u) {
-    const auto& nb = g.neighbors(v);
-    return static_cast<std::size_t>(
-        std::lower_bound(nb.begin(), nb.end(), u) - nb.begin());
+  // Column of edge (v, u) in v's row.
+  const auto slot = [&g](NodeId v, NodeId u) {
+    return g.edge_slot(v, u) - g.offsets()[v];
   };
-  for (auto [u, v] : g.edges()) {
+  for (auto [u, v] : order) {
     std::vector<bool> used(static_cast<std::size_t>(palette + 1), false);
     for (Value c : out[u]) {
       if (c >= 1) used[c] = true;

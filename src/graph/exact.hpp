@@ -43,16 +43,24 @@ std::vector<bool> sequential_mis(const Graph& g);
 std::vector<bool> sequential_mis(const Graph& g,
                                  const std::vector<NodeId>& order);
 
-/// Sequential greedy maximal matching; result[v] = matched partner or
-/// kNoNode.
+/// Sequential greedy maximal matching in the given edge order (defaults to
+/// g.edges()); result[v] = matched partner or kNoNode.
 std::vector<NodeId> sequential_maximal_matching(const Graph& g);
+std::vector<NodeId> sequential_maximal_matching(
+    const Graph& g, const std::vector<Graph::Edge>& order);
 
-/// Sequential greedy (Δ+1)-vertex coloring; colors are 1..Δ+1.
+/// Sequential greedy (Δ+1)-vertex coloring in the given node order
+/// (defaults to index order); colors are 1..Δ+1.
 std::vector<Value> sequential_vertex_coloring(const Graph& g);
+std::vector<Value> sequential_vertex_coloring(
+    const Graph& g, const std::vector<NodeId>& order);
 
-/// Sequential greedy (2Δ−1)-edge coloring; returned as, for each node, a
-/// vector aligned with g.neighbors(v) giving the color of each incident
-/// edge (colors 1..2Δ−1). Both endpoints agree.
+/// Sequential greedy (2Δ−1)-edge coloring in the given edge order (defaults
+/// to g.edges()); returned as, for each node, a vector aligned with
+/// g.neighbors(v) giving the color of each incident edge (colors
+/// 1..2Δ−1). Both endpoints agree.
 std::vector<std::vector<Value>> sequential_edge_coloring(const Graph& g);
+std::vector<std::vector<Value>> sequential_edge_coloring(
+    const Graph& g, const std::vector<Graph::Edge>& order);
 
 }  // namespace dgap

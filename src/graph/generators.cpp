@@ -26,99 +26,109 @@ NodeId checked_node_count(std::int64_t n, const char* what) {
   return static_cast<NodeId>(n);
 }
 
+/// A rooted tree at node 0 whose tree edges are exactly (parent[v], v).
+RootedTree rooted_tree_from_parents(std::vector<NodeId> parent) {
+  const NodeId n = static_cast<NodeId>(parent.size());
+  std::vector<Graph::Edge> es;
+  es.reserve(parent.size());
+  for (NodeId v = 1; v < n; ++v) es.emplace_back(parent[v], v);
+  return RootedTree{Graph(n, es), std::move(parent), 0};
+}
+
 }  // namespace
 
 Graph make_line(NodeId n) {
-  Graph g(n);
-  for (NodeId v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
-  return g;
+  std::vector<Graph::Edge> es;
+  for (NodeId v = 0; v + 1 < n; ++v) es.emplace_back(v, v + 1);
+  return Graph(n, es);
 }
 
 Graph make_ring(NodeId n) {
   DGAP_REQUIRE(n >= 3, "a ring needs at least 3 nodes");
-  Graph g = make_line(n);
-  g.add_edge(n - 1, 0);
-  return g;
+  std::vector<Graph::Edge> es;
+  for (NodeId v = 0; v < n; ++v) es.emplace_back(v, (v + 1) % n);
+  return Graph(n, es);
 }
 
 Graph make_clique(NodeId n) {
-  Graph g(n);
+  std::vector<Graph::Edge> es;
   for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) g.add_edge(u, v);
+    for (NodeId v = u + 1; v < n; ++v) es.emplace_back(u, v);
   }
-  return g;
+  return Graph(n, es);
 }
 
 Graph make_star(NodeId n) {
   DGAP_REQUIRE(n >= 1, "a star needs at least 1 node");
-  Graph g(n);
-  for (NodeId v = 1; v < n; ++v) g.add_edge(0, v);
-  return g;
+  std::vector<Graph::Edge> es;
+  for (NodeId v = 1; v < n; ++v) es.emplace_back(0, v);
+  return Graph(n, es);
 }
 
 Graph make_wheel_fk(NodeId k) {
   DGAP_REQUIRE(k >= 3, "F_k needs at least 3 rim nodes");
-  Graph g(checked_node_count(2 * static_cast<std::int64_t>(k) + 1, "F_k"));
+  const NodeId n =
+      checked_node_count(2 * static_cast<std::int64_t>(k) + 1, "F_k");
   const NodeId hub = 0;
+  std::vector<Graph::Edge> es;
   for (NodeId i = 0; i < k; ++i) {
     const NodeId mid = 1 + i;
     const NodeId rim = 1 + k + i;
-    g.add_edge(hub, mid);
-    g.add_edge(mid, rim);
+    es.emplace_back(hub, mid);
+    es.emplace_back(mid, rim);
+    es.emplace_back(rim, 1 + k + (i + 1) % k);
   }
-  for (NodeId i = 0; i < k; ++i) {
-    const NodeId rim = 1 + k + i;
-    const NodeId next = 1 + k + (i + 1) % k;
-    g.add_edge(rim, next);
-  }
-  return g;
+  return Graph(n, es);
 }
 
 Graph make_grid(NodeId w, NodeId h) {
   DGAP_REQUIRE(w >= 1 && h >= 1, "grid dimensions must be positive");
-  Graph g(checked_node_count(
-      static_cast<std::int64_t>(w) * static_cast<std::int64_t>(h), "grid"));
+  const NodeId n = checked_node_count(
+      static_cast<std::int64_t>(w) * static_cast<std::int64_t>(h), "grid");
+  std::vector<Graph::Edge> es;
   for (NodeId y = 0; y < h; ++y) {
     for (NodeId x = 0; x < w; ++x) {
-      if (x + 1 < w) g.add_edge(grid_index(w, x, y), grid_index(w, x + 1, y));
-      if (y + 1 < h) g.add_edge(grid_index(w, x, y), grid_index(w, x, y + 1));
+      const NodeId v = grid_index(w, x, y);
+      if (x + 1 < w) es.emplace_back(v, grid_index(w, x + 1, y));
+      if (y + 1 < h) es.emplace_back(v, grid_index(w, x, y + 1));
     }
   }
-  return g;
+  return Graph(n, es);
 }
 
 Graph make_hypercube(int dims) {
   DGAP_REQUIRE(dims >= 0 && dims < 20, "hypercube dimension out of range");
   const NodeId n = static_cast<NodeId>(1) << dims;
-  Graph g(n);
+  std::vector<Graph::Edge> es;
   for (NodeId v = 0; v < n; ++v) {
     for (int b = 0; b < dims; ++b) {
       NodeId u = v ^ (static_cast<NodeId>(1) << b);
-      if (v < u) g.add_edge(v, u);
+      if (v < u) es.emplace_back(v, u);
     }
   }
-  return g;
+  return Graph(n, es);
 }
 
 Graph make_complete_bipartite(NodeId a, NodeId b) {
-  Graph g(checked_node_count(
+  const NodeId n = checked_node_count(
       static_cast<std::int64_t>(a) + static_cast<std::int64_t>(b),
-      "complete bipartite"));
+      "complete bipartite");
+  std::vector<Graph::Edge> es;
   for (NodeId u = 0; u < a; ++u) {
-    for (NodeId v = 0; v < b; ++v) g.add_edge(u, a + v);
+    for (NodeId v = 0; v < b; ++v) es.emplace_back(u, a + v);
   }
-  return g;
+  return Graph(n, es);
 }
 
 Graph make_gnp(NodeId n, double p, Rng& rng) {
   DGAP_REQUIRE(p >= 0.0 && p <= 1.0, "probability out of range");
-  Graph g(n);
+  std::vector<Graph::Edge> es;
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) {
-      if (rng.flip(p)) g.add_edge(u, v);
+      if (rng.flip(p)) es.emplace_back(u, v);
     }
   }
-  return g;
+  return Graph(n, es);
 }
 
 namespace {
@@ -163,8 +173,7 @@ std::int64_t generator_blocks(std::int64_t size) {
 Graph make_gnp_sparse(NodeId n, double p, Rng& rng, int num_threads) {
   DGAP_REQUIRE(p >= 0.0 && p <= 1.0, "probability out of range");
   DGAP_REQUIRE(num_threads >= 1, "num_threads must be >= 1");
-  Graph g(n);
-  if (n < 2 || p <= 0.0) return g;
+  if (n < 2 || p <= 0.0) return Graph(n);
   // Batagelj–Brandes geometric skipping: enumerate the pairs (v, w),
   // w < v, in lexicographic order and jump ahead by a Geometric(p) gap per
   // present edge. One rng draw per edge (plus the final overshoot), so
@@ -200,7 +209,7 @@ Graph make_gnp_sparse(NodeId n, double p, Rng& rng, int num_threads) {
   std::vector<std::uint64_t> seeds(static_cast<std::size_t>(blocks));
   for (auto& s : seeds) s = rng.next();
   const double denom = std::log1p(-p);  // log(1-p) < 0
-  std::vector<std::vector<std::pair<NodeId, NodeId>>> block_edges(
+  std::vector<std::vector<Graph::Edge>> block_edges(
       static_cast<std::size_t>(blocks));
   for_each_block(blocks, num_threads, [&](std::int64_t b) {
     const std::size_t bu = static_cast<std::size_t>(b);
@@ -219,10 +228,12 @@ Graph make_gnp_sparse(NodeId n, double p, Rng& rng, int num_threads) {
       if (v < end) out.emplace_back(v, static_cast<NodeId>(w));
     }
   });
-  for (const auto& edges : block_edges) {
-    for (const auto& [v, w] : edges) g.add_edge(v, w);
+  std::vector<Graph::Edge> es;
+  for (auto& edges : block_edges) {
+    es.insert(es.end(), edges.begin(), edges.end());
+    edges = {};  // release each block once merged: lower peak memory
   }
-  return g;
+  return Graph(n, es);
 }
 
 Graph make_gnm(NodeId n, std::int64_t m, Rng& rng, int num_threads) {
@@ -230,8 +241,7 @@ Graph make_gnm(NodeId n, std::int64_t m, Rng& rng, int num_threads) {
       static_cast<std::int64_t>(n) * (n - 1) / 2;
   DGAP_REQUIRE(m >= 0 && m <= pairs, "edge count out of range");
   DGAP_REQUIRE(num_threads >= 1, "num_threads must be >= 1");
-  Graph g(n);
-  if (m == 0) return g;
+  if (m == 0) return Graph(n);
   // Rejection sampling over the pair space, deduplicated by a packed key.
   // Expected draws m / (1 - m/pairs): O(m) while m is well below pairs/2
   // (the sparse regime this generator exists for).
@@ -276,29 +286,27 @@ Graph make_gnm(NodeId n, std::int64_t m, Rng& rng, int num_threads) {
   });
   std::unordered_set<std::uint64_t> chosen;
   chosen.reserve(static_cast<std::size_t>(m) * 2);
-  std::int64_t added = 0;
+  std::vector<Graph::Edge> es;
+  es.reserve(static_cast<std::size_t>(m));
   const auto add_key = [&](std::uint64_t key) {
     if (!chosen.insert(key).second) return;
-    const NodeId lo = static_cast<NodeId>(key / static_cast<std::uint64_t>(n));
-    const NodeId hi = static_cast<NodeId>(key % static_cast<std::uint64_t>(n));
-    g.add_edge(lo, hi);
-    ++added;
+    es.emplace_back(static_cast<NodeId>(key / static_cast<std::uint64_t>(n)),
+                    static_cast<NodeId>(key % static_cast<std::uint64_t>(n)));
   };
-  for (const auto& keys : block_keys) {
+  for (auto& keys : block_keys) {
     for (const std::uint64_t key : keys) add_key(key);
+    keys = {};  // release each block once merged: lower peak memory
   }
-  while (added < m) add_key(draw_key(topup_rng));
-  return g;
+  while (static_cast<std::int64_t>(es.size()) < m) {
+    add_key(draw_key(topup_rng));
+  }
+  return Graph(n, es);
 }
 
 Graph make_random_tree(NodeId n, Rng& rng) {
   DGAP_REQUIRE(n >= 1, "a tree needs at least one node");
-  Graph g(n);
-  if (n == 1) return g;
-  if (n == 2) {
-    g.add_edge(0, 1);
-    return g;
-  }
+  if (n == 1) return Graph(n);
+  if (n == 2) return Graph(n, {{0, 1}});
   // Prüfer decoding.
   std::vector<NodeId> prufer(static_cast<std::size_t>(n - 2));
   for (auto& x : prufer) x = static_cast<NodeId>(rng.next_below(n));
@@ -308,70 +316,64 @@ Graph make_random_tree(NodeId n, Rng& rng) {
   for (NodeId v = 0; v < n; ++v) {
     if (deg[v] == 1) leaves.insert(v);
   }
+  std::vector<Graph::Edge> es;
+  es.reserve(static_cast<std::size_t>(n - 1));
   for (NodeId x : prufer) {
     NodeId leaf = *leaves.begin();
     leaves.erase(leaves.begin());
-    g.add_edge(leaf, x);
+    es.emplace_back(leaf, x);
     if (--deg[x] == 1) leaves.insert(x);
   }
-  NodeId u = *leaves.begin();
-  NodeId v = *std::next(leaves.begin());
-  g.add_edge(u, v);
-  return g;
+  es.emplace_back(*leaves.begin(), *std::next(leaves.begin()));
+  return Graph(n, es);
 }
 
 Graph make_random_connected(NodeId n, std::int64_t extra_edges, Rng& rng) {
-  Graph g = make_random_tree(n, rng);
+  std::vector<Graph::Edge> es = make_random_tree(n, rng).edges();
   const std::int64_t max_extra =
       static_cast<std::int64_t>(n) * (n - 1) / 2 - (n - 1);
   extra_edges = std::min(extra_edges, max_extra);
+  std::unordered_set<std::uint64_t> present;
+  const auto key = [n](NodeId u, NodeId v) {
+    return static_cast<std::uint64_t>(std::min(u, v)) *
+               static_cast<std::uint64_t>(n) +
+           static_cast<std::uint64_t>(std::max(u, v));
+  };
+  for (const auto& [u, v] : es) present.insert(key(u, v));
   std::int64_t added = 0;
   while (added < extra_edges) {
     NodeId u = static_cast<NodeId>(rng.next_below(n));
     NodeId v = static_cast<NodeId>(rng.next_below(n));
-    if (u == v || g.has_edge(u, v)) continue;
-    g.add_edge(u, v);
+    if (u == v || !present.insert(key(u, v)).second) continue;
+    es.emplace_back(u, v);
     ++added;
   }
-  return g;
+  return Graph(n, es);
 }
 
 RootedTree make_rooted_line(NodeId n) {
-  RootedTree t;
-  t.graph = make_line(n);
-  t.parent.assign(static_cast<std::size_t>(n), kNoNode);
-  for (NodeId v = 1; v < n; ++v) t.parent[v] = v - 1;
-  t.root = 0;
-  return t;
+  DGAP_REQUIRE(n >= 0, "graph size must be non-negative");
+  std::vector<NodeId> parent(static_cast<std::size_t>(n), kNoNode);
+  for (NodeId v = 1; v < n; ++v) parent[v] = v - 1;
+  return rooted_tree_from_parents(std::move(parent));
 }
 
 RootedTree make_rooted_binary_tree(int height) {
   DGAP_REQUIRE(height >= 0 && height < 22, "height out of range");
   const NodeId n = static_cast<NodeId>((1LL << (height + 1)) - 1);
-  RootedTree t;
-  t.graph = Graph(n);
-  t.parent.assign(static_cast<std::size_t>(n), kNoNode);
-  for (NodeId v = 1; v < n; ++v) {
-    NodeId p = (v - 1) / 2;
-    t.graph.add_edge(p, v);
-    t.parent[v] = p;
-  }
-  t.root = 0;
-  return t;
+  std::vector<NodeId> parent(static_cast<std::size_t>(n), kNoNode);
+  for (NodeId v = 1; v < n; ++v) parent[v] = (v - 1) / 2;
+  return rooted_tree_from_parents(std::move(parent));
 }
 
 RootedTree make_rooted_random_tree(NodeId n, Rng& rng) {
   DGAP_REQUIRE(n >= 1, "a tree needs at least one node");
-  RootedTree t;
-  t.graph = Graph(n);
-  t.parent.assign(static_cast<std::size_t>(n), kNoNode);
+  std::vector<NodeId> parent(static_cast<std::size_t>(n), kNoNode);
   for (NodeId v = 1; v < n; ++v) {
-    NodeId p = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(v)));
-    t.graph.add_edge(p, v);
-    t.parent[v] = p;
+    parent[v] =
+        static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(v)));
   }
-  t.root = 0;
-  return t;
+  return rooted_tree_from_parents(std::move(parent));
 }
 
 RootedTree make_rooted_kary_tree(int arity, int levels) {
@@ -383,33 +385,31 @@ RootedTree make_rooted_kary_tree(int arity, int levels) {
     DGAP_REQUIRE(n64 < (1LL << 26), "k-ary tree too large");
   }
   const NodeId n = static_cast<NodeId>(n64);
-  RootedTree t;
-  t.graph = Graph(n);
-  t.parent.assign(static_cast<std::size_t>(n), kNoNode);
   // Breadth-first layout: children of v are arity*v + 1 .. arity*v + arity.
-  for (NodeId v = 1; v < n; ++v) {
-    NodeId p = (v - 1) / arity;
-    t.graph.add_edge(p, v);
-    t.parent[v] = p;
-  }
-  t.root = 0;
-  return t;
+  std::vector<NodeId> parent(static_cast<std::size_t>(n), kNoNode);
+  for (NodeId v = 1; v < n; ++v) parent[v] = (v - 1) / arity;
+  return rooted_tree_from_parents(std::move(parent));
 }
 
 Graph make_caterpillar(NodeId spine, NodeId legs) {
   DGAP_REQUIRE(spine >= 1 && legs >= 0, "bad caterpillar parameters");
-  Graph g(checked_node_count(
+  const NodeId n = checked_node_count(
       static_cast<std::int64_t>(spine) * (static_cast<std::int64_t>(legs) + 1),
-      "caterpillar"));
-  for (NodeId s = 0; s + 1 < spine; ++s) g.add_edge(s, s + 1);
+      "caterpillar");
+  std::vector<Graph::Edge> es;
+  for (NodeId s = 0; s + 1 < spine; ++s) es.emplace_back(s, s + 1);
   for (NodeId s = 0; s < spine; ++s) {
-    for (NodeId l = 0; l < legs; ++l) g.add_edge(s, spine + s * legs + l);
+    for (NodeId l = 0; l < legs; ++l) es.emplace_back(s, spine + s * legs + l);
   }
-  return g;
+  return Graph(n, es);
 }
 
 Graph disjoint_union(const Graph& a, const Graph& b) {
-  Graph g(a.num_nodes() + b.num_nodes());
+  std::vector<Graph::Edge> es = a.edges();
+  for (auto [u, v] : b.edges()) {
+    es.emplace_back(a.num_nodes() + u, a.num_nodes() + v);
+  }
+  Graph g(a.num_nodes() + b.num_nodes(), es);
   std::vector<Value> ids;
   ids.reserve(static_cast<std::size_t>(g.num_nodes()));
   for (NodeId v = 0; v < a.num_nodes(); ++v) ids.push_back(a.id(v));
@@ -417,9 +417,6 @@ Graph disjoint_union(const Graph& a, const Graph& b) {
     ids.push_back(a.id_bound() + b.id(v));
   g.set_ids(std::move(ids));
   g.set_id_bound(a.id_bound() + b.id_bound());
-  for (auto [u, v] : a.edges()) g.add_edge(u, v);
-  for (auto [u, v] : b.edges())
-    g.add_edge(a.num_nodes() + u, a.num_nodes() + v);
   return g;
 }
 

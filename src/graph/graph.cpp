@@ -7,12 +7,39 @@
 
 namespace dgap {
 
-Graph::Graph(NodeId n) {
+Graph::Graph(NodeId n, const std::vector<Edge>& edges) {
   DGAP_REQUIRE(n >= 0, "graph size must be non-negative");
-  adj_.resize(static_cast<std::size_t>(n));
-  ids_.resize(static_cast<std::size_t>(n));
+  const std::size_t nu = static_cast<std::size_t>(n);
+  ids_.resize(nu);
   for (NodeId v = 0; v < n; ++v) ids_[v] = v + 1;
   id_bound_ = n;
+  DGAP_REQUIRE(edges.size() < kNoSlot / 2,
+               "edge count overflows 32-bit edge slots");
+  // Counting pass (validating every endpoint), prefix sum, scatter, then
+  // one sort per row; a duplicate edge shows up as a repeated neighbor.
+  offsets_.assign(nu + 1, 0);
+  for (const auto& [u, v] : edges) {
+    check_node(u);
+    check_node(v);
+    DGAP_REQUIRE(u != v, "no self-loops in a simple graph");
+    ++offsets_[static_cast<std::size_t>(u) + 1];
+    ++offsets_[static_cast<std::size_t>(v) + 1];
+  }
+  for (std::size_t v = 0; v < nu; ++v) offsets_[v + 1] += offsets_[v];
+  neighbors_.resize(offsets_[nu]);
+  std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (const auto& [u, v] : edges) {
+    neighbors_[cursor[u]++] = v;
+    neighbors_[cursor[v]++] = u;
+  }
+  for (std::size_t v = 0; v < nu; ++v) {
+    const auto first = neighbors_.begin() + offsets_[v];
+    const auto last = neighbors_.begin() + offsets_[v + 1];
+    std::sort(first, last);
+    DGAP_REQUIRE(std::adjacent_find(first, last) == last,
+                 "edge already present");
+    max_degree_ = std::max(max_degree_, static_cast<int>(last - first));
+  }
 }
 
 void Graph::set_id_bound(std::int64_t d) {
@@ -23,7 +50,7 @@ void Graph::set_id_bound(std::int64_t d) {
 }
 
 void Graph::set_ids(std::vector<Value> ids) {
-  DGAP_REQUIRE(ids.size() == adj_.size(), "one identifier per node");
+  DGAP_REQUIRE(ids.size() == ids_.size(), "one identifier per node");
   std::unordered_set<Value> seen;
   std::int64_t max_id = 0;
   for (Value id : ids) {
@@ -39,33 +66,17 @@ void Graph::check_node(NodeId v) const {
   DGAP_REQUIRE(v >= 0 && v < num_nodes(), "node index out of range");
 }
 
-void Graph::add_edge(NodeId u, NodeId v) {
-  check_node(u);
-  check_node(v);
-  DGAP_REQUIRE(u != v, "no self-loops in a simple graph");
-  DGAP_REQUIRE(!has_edge(u, v), "edge already present");
-  adj_[u].insert(std::lower_bound(adj_[u].begin(), adj_[u].end(), v), v);
-  adj_[v].insert(std::lower_bound(adj_[v].begin(), adj_[v].end(), u), u);
-  ++num_edges_;
-}
-
 bool Graph::has_edge(NodeId u, NodeId v) const {
   check_node(u);
   check_node(v);
-  return std::binary_search(adj_[u].begin(), adj_[u].end(), v);
+  return edge_slot(u, v) != kNoSlot;
 }
 
-int Graph::max_degree() const {
-  int d = 0;
-  for (const auto& nb : adj_) d = std::max(d, static_cast<int>(nb.size()));
-  return d;
-}
-
-std::vector<std::pair<NodeId, NodeId>> Graph::edges() const {
-  std::vector<std::pair<NodeId, NodeId>> es;
-  es.reserve(static_cast<std::size_t>(num_edges_));
+std::vector<Graph::Edge> Graph::edges() const {
+  std::vector<Edge> es;
+  es.reserve(static_cast<std::size_t>(num_edges()));
   for (NodeId u = 0; u < num_nodes(); ++u) {
-    for (NodeId v : adj_[u]) {
+    for (NodeId v : neighbors(u)) {
       if (u < v) es.emplace_back(u, v);
     }
   }
@@ -83,18 +94,20 @@ std::pair<Graph, std::vector<NodeId>> Graph::induced(
     old_to_new[v] = static_cast<NodeId>(new_to_old.size());
     new_to_old.push_back(v);
   }
-  Graph sub(static_cast<NodeId>(new_to_old.size()));
+  const NodeId sub_n = static_cast<NodeId>(new_to_old.size());
+  std::vector<Edge> sub_edges;
+  for (NodeId nu = 0; nu < sub_n; ++nu) {
+    for (NodeId old_nb : neighbors(new_to_old[nu])) {
+      NodeId nv = old_to_new[old_nb];
+      if (nv >= 0 && nu < nv) sub_edges.emplace_back(nu, nv);
+    }
+  }
+  Graph sub(sub_n, sub_edges);
   std::vector<Value> ids;
   ids.reserve(new_to_old.size());
   for (NodeId old : new_to_old) ids.push_back(ids_[old]);
   sub.set_ids(std::move(ids));
   sub.set_id_bound(id_bound_);
-  for (NodeId nu = 0; nu < sub.num_nodes(); ++nu) {
-    for (NodeId old_nb : adj_[new_to_old[nu]]) {
-      NodeId nv = old_to_new[old_nb];
-      if (nv >= 0 && nu < nv) sub.add_edge(nu, nv);
-    }
-  }
   return {std::move(sub), std::move(new_to_old)};
 }
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <set>
+#include <unordered_set>
 
 #include "common/require.hpp"
 #include "graph/exact.hpp"
@@ -28,12 +28,6 @@ std::vector<std::size_t> distinct_indices(std::size_t count, std::size_t bound,
   return all;
 }
 
-std::size_t slot_of(const Graph& g, NodeId v, NodeId u) {
-  const auto& nb = g.neighbors(v);
-  return static_cast<std::size_t>(
-      std::lower_bound(nb.begin(), nb.end(), u) - nb.begin());
-}
-
 }  // namespace
 
 // ---- MIS --------------------------------------------------------------------
@@ -45,29 +39,18 @@ Predictions mis_correct_prediction(const Graph& g, Rng& rng) {
   return Predictions(std::move(x));
 }
 
-namespace {
-
-Predictions flip_bits_impl(std::vector<Value> x, int flips, Rng& rng) {
+Predictions flip_bits(const Graph& g, const Predictions& base, int flips,
+                      Rng& rng) {
+  DGAP_REQUIRE(base.node_values().size() ==
+                   static_cast<std::size_t>(g.num_nodes()),
+               "flip_bits: prediction size must match the graph");
+  auto x = base.node_values();
   for (std::size_t i :
        distinct_indices(static_cast<std::size_t>(std::max(flips, 0)),
                         x.size(), rng)) {
     x[i] = x[i] == 0 ? 1 : 0;
   }
   return Predictions(std::move(x));
-}
-
-}  // namespace
-
-Predictions flip_bits(const Graph& g, const Predictions& base, int flips,
-                      Rng& rng) {
-  DGAP_REQUIRE(base.node_values().size() ==
-                   static_cast<std::size_t>(g.num_nodes()),
-               "flip_bits: prediction size must match the graph");
-  return flip_bits_impl(base.node_values(), flips, rng);
-}
-
-Predictions flip_bits(const Predictions& base, int flips, Rng& rng) {
-  return flip_bits_impl(base.node_values(), flips, rng);
 }
 
 Predictions all_same(const Graph& g, Value value) {
@@ -101,23 +84,29 @@ Graph perturb_edges(const Graph& g, int remove_edges, int add_edges,
   rng.shuffle(edges);
   const std::size_t keep_from =
       std::min(edges.size(), static_cast<std::size_t>(std::max(remove_edges, 0)));
-  Graph out(g.num_nodes());
-  out.set_ids(g.ids());
-  out.set_id_bound(g.id_bound());
-  for (std::size_t i = keep_from; i < edges.size(); ++i) {
-    out.add_edge(edges[i].first, edges[i].second);
-  }
+  edges.erase(edges.begin(),
+              edges.begin() + static_cast<std::ptrdiff_t>(keep_from));
+  const NodeId n = g.num_nodes();
+  std::unordered_set<std::uint64_t> present;
+  const auto key = [n](NodeId u, NodeId v) {
+    return static_cast<std::uint64_t>(std::min(u, v)) *
+               static_cast<std::uint64_t>(n) +
+           static_cast<std::uint64_t>(std::max(u, v));
+  };
+  for (const auto& [u, v] : edges) present.insert(key(u, v));
   int added = 0;
   int attempts = 0;
-  const NodeId n = g.num_nodes();
   while (added < add_edges && attempts < 100 * (add_edges + 1) && n >= 2) {
     ++attempts;
     NodeId u = static_cast<NodeId>(rng.next_below(n));
     NodeId v = static_cast<NodeId>(rng.next_below(n));
-    if (u == v || out.has_edge(u, v)) continue;
-    out.add_edge(u, v);
+    if (u == v || !present.insert(key(u, v)).second) continue;
+    edges.emplace_back(u, v);
     ++added;
   }
+  Graph out(n, edges);
+  out.set_ids(g.ids());
+  out.set_id_bound(g.id_bound());
   return out;
 }
 
@@ -126,13 +115,7 @@ Graph perturb_edges(const Graph& g, int remove_edges, int add_edges,
 Predictions matching_correct_prediction(const Graph& g, Rng& rng) {
   auto edges = g.edges();
   rng.shuffle(edges);
-  std::vector<NodeId> mate(static_cast<std::size_t>(g.num_nodes()), kNoNode);
-  for (auto [u, v] : edges) {
-    if (mate[u] == kNoNode && mate[v] == kNoNode) {
-      mate[u] = v;
-      mate[v] = u;
-    }
-  }
+  const auto mate = sequential_maximal_matching(g, edges);
   std::vector<Value> x(mate.size());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     x[v] = mate[v] == kNoNode ? Value{kNoNode} : g.id(mate[v]);
@@ -164,22 +147,8 @@ Predictions break_matches(const Graph& g, const Predictions& base, int breaks,
 // ---- (Δ+1)-Vertex Coloring --------------------------------------------------
 
 Predictions coloring_correct_prediction(const Graph& g, Rng& rng) {
-  const Value palette = g.max_degree() + 1;
-  std::vector<Value> color(static_cast<std::size_t>(g.num_nodes()), 0);
-  for (NodeId v : random_order(g.num_nodes(), rng)) {
-    std::vector<bool> used(static_cast<std::size_t>(palette + 1), false);
-    for (NodeId u : g.neighbors(v)) {
-      if (color[u] >= 1) used[color[u]] = true;
-    }
-    for (Value c = 1; c <= palette; ++c) {
-      if (!used[c]) {
-        color[v] = c;
-        break;
-      }
-    }
-    DGAP_ASSERT(color[v] != 0, "palette exceeds degree; a color must exist");
-  }
-  return Predictions(std::move(color));
+  return Predictions(
+      sequential_vertex_coloring(g, random_order(g.num_nodes(), rng)));
 }
 
 Predictions scramble_colors(const Graph& g, const Predictions& base, int flips,
@@ -197,33 +166,9 @@ Predictions scramble_colors(const Graph& g, const Predictions& base, int flips,
 // ---- (2Δ−1)-Edge Coloring ---------------------------------------------------
 
 Predictions edge_coloring_correct_prediction(const Graph& g, Rng& rng) {
-  const Value palette = std::max<Value>(1, 2 * g.max_degree() - 1);
   auto edges = g.edges();
   rng.shuffle(edges);
-  std::vector<std::vector<Value>> x(static_cast<std::size_t>(g.num_nodes()));
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    x[v].assign(g.neighbors(v).size(), 0);
-  }
-  for (auto [u, v] : edges) {
-    std::vector<bool> used(static_cast<std::size_t>(palette + 1), false);
-    for (Value c : x[u]) {
-      if (c >= 1) used[c] = true;
-    }
-    for (Value c : x[v]) {
-      if (c >= 1) used[c] = true;
-    }
-    Value chosen = 0;
-    for (Value c = 1; c <= palette; ++c) {
-      if (!used[c]) {
-        chosen = c;
-        break;
-      }
-    }
-    DGAP_ASSERT(chosen != 0, "greedy edge coloring must find a color");
-    x[u][slot_of(g, u, v)] = chosen;
-    x[v][slot_of(g, v, u)] = chosen;
-  }
-  return Predictions::for_edges(g, std::move(x));
+  return Predictions::for_edges(g, sequential_edge_coloring(g, edges));
 }
 
 Predictions scramble_edge_colors(const Graph& g, const Predictions& base,
@@ -237,8 +182,9 @@ Predictions scramble_edge_colors(const Graph& g, const Predictions& base,
   for (std::size_t i = 0; i < cut; ++i) {
     auto [u, v] = edges[i];
     const Value c = rng.uniform(1, palette);
-    x[u][slot_of(g, u, v)] = c;
-    x[v][slot_of(g, v, u)] = c;
+    // The edge's column in each endpoint's row.
+    x[u][g.edge_slot(u, v) - g.offsets()[u]] = c;
+    x[v][g.edge_slot(v, u) - g.offsets()[v]] = c;
   }
   return Predictions::for_edges(g, std::move(x));
 }

@@ -29,11 +29,6 @@ Predictions mis_correct_prediction(const Graph& g, Rng& rng);
 Predictions flip_bits(const Graph& g, const Predictions& base, int flips,
                       Rng& rng);
 
-/// Legacy graph-less form. Consumes the rng identically to the 4-argument
-/// overload but cannot check the prediction against the instance.
-[[deprecated("pass the Graph: flip_bits(g, base, flips, rng)")]]
-Predictions flip_bits(const Predictions& base, int flips, Rng& rng);
-
 /// Every node predicts `value` (the paper's all-1 / all-0 worst cases).
 Predictions all_same(const Graph& g, Value value);
 

@@ -61,6 +61,8 @@ struct DeliveredMessage {
 /// Deterministic per-directed-edge bandwidth scheduler. One instance per
 /// engine run; only constructed when an enforcing policy is selected, so
 /// the default (kCount) data plane carries no link-layer overhead at all.
+/// Per-link state is indexed by the graph's directed-edge slot
+/// (Graph::edge_slot); the layer keeps no adjacency of its own.
 class LinkLayer {
  public:
   LinkLayer(const Graph& g, CongestPolicy policy, int budget_words);
@@ -124,6 +126,7 @@ class LinkLayer {
     std::int64_t backlog = 0;  // sum of words_remaining over the queue
   };
 
+  /// The link's index: Graph::edge_slot(from, to).
   std::size_t link_index(NodeId from, NodeId to) const;
   void deliver(NodeId to, NodeId from, std::int32_t channel,
                const Value* words, std::uint32_t len, bool truncated);
@@ -132,10 +135,6 @@ class LinkLayer {
   const CongestPolicy policy_;
   const std::uint32_t budget_;
   int round_ = 0;
-
-  // CSR over directed edges: out-link j of node v is the edge to
-  // g.neighbors(v)[j], numbered link_offset_[v] + j.
-  std::vector<std::size_t> link_offset_;
 
   // kDefer state.
   std::vector<Link> links_;

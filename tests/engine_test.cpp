@@ -184,8 +184,7 @@ TEST(Engine, ChannelsAreIsolated) {
       }
     }
     void on_receive(NodeContext& ctx) override {
-      // Allocation-free per-channel filter (the vector-returning
-      // inbox_on_channel overload remains for random-access callers).
+      // Allocation-free per-channel filter.
       Value c1 = 0, c2 = 0;
       for_each_on_channel(ctx.inbox(), 1, [&](const Message&) { ++c1; });
       for_each_on_channel(ctx.inbox(), 2, [&](const Message&) { ++c2; });
@@ -200,9 +199,9 @@ TEST(Engine, ChannelsAreIsolated) {
   EXPECT_EQ(result.outputs[1], 12);
 }
 
-TEST(Engine, ForEachOnChannelPreservesInboxOrderAndMatchesOverload) {
-  // The callback helper and the vector-returning overload must agree on
-  // both membership and order for every channel.
+TEST(Engine, ForEachOnChannelPreservesInboxOrder) {
+  // The callback helper visits exactly the messages of one channel, in
+  // inbox order.
   std::vector<Value> payloads = {10, 20, 30, 40, 50};
   std::vector<Message> inbox;
   for (std::size_t i = 0; i < payloads.size(); ++i) {
@@ -217,8 +216,7 @@ TEST(Engine, ForEachOnChannelPreservesInboxOrderAndMatchesOverload) {
     for_each_on_channel(inbox, channel, [&](const Message& m) {
       seen.push_back(&m);
     });
-    EXPECT_EQ(seen, inbox_on_channel(inbox, channel)) << "channel "
-                                                      << channel;
+    for (const Message* m : seen) EXPECT_EQ(m->channel, channel);
     for (std::size_t i = 1; i < seen.size(); ++i) {
       EXPECT_LT(seen[i - 1]->from, seen[i]->from);  // inbox order kept
     }
@@ -309,8 +307,7 @@ TEST(Engine, CompletionRoundPerComponent) {
   // Two components: a clique (max-id terminates round 1, rest round 2ish)
   // and an isolated node (round 1). Use OutputIdProgram: everyone in
   // round 1.
-  Graph g(4);
-  g.add_edge(0, 1);
+  Graph g(4, {{0, 1}});
   auto result = run_algorithm(
       g, [](NodeId) { return std::make_unique<OutputIdProgram>(); });
   auto per_comp = completion_round_per_component(g, result);

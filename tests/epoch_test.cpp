@@ -383,6 +383,11 @@ TEST(ApplyEdits, EditBatchesAreContractsNotHints) {
   duplicate_edge.add_edges.emplace_back(g.id(0), g.id(1));  // already there
   EXPECT_THROW(apply_edits(g, duplicate_edge), std::invalid_argument);
 
+  EditBatch added_twice;  // a new edge, listed in both orientations
+  added_twice.add_edges.emplace_back(g.id(0), g.id(2));
+  added_twice.add_edges.emplace_back(g.id(2), g.id(0));
+  EXPECT_THROW(apply_edits(g, added_twice), std::invalid_argument);
+
   EditBatch self_loop;
   self_loop.add_edges.emplace_back(g.id(0), g.id(0));
   EXPECT_THROW(apply_edits(g, self_loop), std::invalid_argument);

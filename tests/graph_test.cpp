@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
@@ -13,6 +14,54 @@
 
 namespace dgap {
 namespace {
+
+/// The CSR invariants every builder must produce: rows sorted and
+/// duplicate-free, edge_slot(v, neighbors(v)[j]) == offsets[v] + j for
+/// every directed edge, kNoSlot for non-neighbors, and a Δ equal to a full
+/// recount of the degrees.
+void expect_csr_invariants(const Graph& g) {
+  const NodeId n = g.num_nodes();
+  const auto offsets = g.offsets();
+  ASSERT_EQ(offsets.size(), static_cast<std::size_t>(n) + 1);
+  EXPECT_EQ(static_cast<std::int64_t>(offsets.back()), 2 * g.num_edges());
+  int recount = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    const auto nb = g.neighbors(v);
+    recount = std::max(recount, static_cast<int>(nb.size()));
+    EXPECT_EQ(g.degree(v), static_cast<int>(nb.size()));
+    EXPECT_TRUE(std::is_sorted(nb.begin(), nb.end())) << "row " << v;
+    EXPECT_EQ(std::adjacent_find(nb.begin(), nb.end()), nb.end())
+        << "row " << v;
+    for (std::size_t j = 0; j < nb.size(); ++j) {
+      ASSERT_EQ(g.edge_slot(v, nb[j]), offsets[v] + j)
+          << "edge (" << v << ", " << nb[j] << ")";
+    }
+    // Every non-neighbor (v itself included) maps to the sentinel; large
+    // graphs probe v and its index neighbors only.
+    const auto probe = [&](NodeId u) {
+      if (!std::binary_search(nb.begin(), nb.end(), u)) {
+        ASSERT_EQ(g.edge_slot(v, u), Graph::kNoSlot)
+            << "non-edge (" << v << ", " << u << ")";
+      }
+    };
+    if (n <= 256) {
+      for (NodeId u = 0; u < n; ++u) probe(u);
+    } else {
+      for (const NodeId u : {v, (v + 1) % n, (v + n - 1) % n}) probe(u);
+    }
+  }
+  EXPECT_EQ(g.max_degree(), recount);
+}
+
+/// The DGAP_REQUIRE message thrown by building Graph(n, edges).
+std::string build_error(NodeId n, const std::vector<Graph::Edge>& edges) {
+  try {
+    Graph g(n, edges);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no exception";
+}
 
 TEST(Graph, EmptyGraph) {
   Graph g;
@@ -26,24 +75,37 @@ TEST(Graph, DefaultIdsAreOneBased) {
   EXPECT_EQ(g.id_bound(), 4);
 }
 
-TEST(Graph, AddAndQueryEdges) {
-  Graph g(4);
-  g.add_edge(0, 2);
-  g.add_edge(2, 3);
+TEST(Graph, BuildAndQueryEdges) {
+  Graph g(4, {{2, 3}, {0, 2}});
   EXPECT_TRUE(g.has_edge(0, 2));
   EXPECT_TRUE(g.has_edge(2, 0));
   EXPECT_FALSE(g.has_edge(0, 1));
   EXPECT_EQ(g.num_edges(), 2);
   EXPECT_EQ(g.degree(2), 2);
   EXPECT_EQ(g.max_degree(), 2);
+  EXPECT_EQ(g.neighbors(2).size(), 2u);
+  EXPECT_EQ(g.neighbors(2)[0], 0);
+  EXPECT_EQ(g.neighbors(2)[1], 3);
+  EXPECT_EQ(g.edge_slot(2, 3), g.offsets()[2] + 1);
+  EXPECT_EQ(g.edge_slot(0, 1), Graph::kNoSlot);
+  expect_csr_invariants(g);
 }
 
 TEST(Graph, RejectsSelfLoopAndDuplicates) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  EXPECT_THROW(g.add_edge(1, 1), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(1, 0), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(0, 5), std::invalid_argument);
+  EXPECT_NO_THROW(Graph(3, {{0, 1}}));
+  EXPECT_THROW(Graph(3, {{0, 1}, {1, 1}}), std::invalid_argument);
+  EXPECT_THROW(Graph(3, {{0, 1}, {1, 0}}), std::invalid_argument);
+  EXPECT_THROW(Graph(3, {{0, 1}, {0, 1}}), std::invalid_argument);
+  EXPECT_THROW(Graph(3, {{0, 1}, {0, 5}}), std::invalid_argument);
+  EXPECT_THROW(Graph(3, {{-1, 1}}), std::invalid_argument);
+  EXPECT_THROW(Graph(-1), std::invalid_argument);
+  // The messages callers (apply_edits on outside edit batches) rely on.
+  EXPECT_NE(build_error(3, {{1, 1}}).find("no self-loops in a simple graph"),
+            std::string::npos);
+  EXPECT_NE(build_error(3, {{0, 1}, {1, 0}}).find("edge already present"),
+            std::string::npos);
+  EXPECT_NE(build_error(3, {{0, 5}}).find("node index out of range"),
+            std::string::npos);
 }
 
 TEST(Graph, SetIdsValidatesDistinctness) {
@@ -72,6 +134,7 @@ TEST(Graph, InducedSubgraphKeepsIdsAndEdges) {
   EXPECT_EQ(sub.id(2), 40);
   EXPECT_EQ(sub.id_bound(), g.id_bound());
   EXPECT_EQ(map[0], 1);
+  expect_csr_invariants(sub);
 }
 
 TEST(Generators, Line) {
@@ -79,6 +142,7 @@ TEST(Generators, Line) {
   EXPECT_EQ(g.num_edges(), 4);
   EXPECT_TRUE(is_tree(g));
   EXPECT_EQ(diameter(g), 4);
+  expect_csr_invariants(g);
 }
 
 TEST(Generators, Ring) {
@@ -86,12 +150,14 @@ TEST(Generators, Ring) {
   EXPECT_EQ(g.num_edges(), 6);
   EXPECT_EQ(g.max_degree(), 2);
   EXPECT_EQ(diameter(g), 3);
+  expect_csr_invariants(g);
 }
 
 TEST(Generators, Clique) {
   Graph g = make_clique(5);
   EXPECT_EQ(g.num_edges(), 10);
   EXPECT_EQ(diameter(g), 1);
+  expect_csr_invariants(g);
 }
 
 TEST(Generators, Star) {
@@ -99,6 +165,7 @@ TEST(Generators, Star) {
   EXPECT_EQ(g.num_edges(), 5);
   EXPECT_EQ(g.max_degree(), 5);
   EXPECT_EQ(diameter(g), 2);
+  expect_csr_invariants(g);
 }
 
 // Figure 1: F_k has diameter 4, but the induced rim has diameter ⌊k/2⌋.
@@ -116,6 +183,8 @@ TEST(Generators, WheelFkMatchesFigure1) {
     for (NodeId i = 0; i < k; ++i) rim.push_back(1 + k + i);
     auto [sub, map] = g.induced(rim);
     EXPECT_EQ(diameter(sub), k / 2);
+    expect_csr_invariants(g);
+    expect_csr_invariants(sub);
   }
   EXPECT_EQ(diameter(make_wheel_fk(8)), 4);
 }
@@ -125,6 +194,7 @@ TEST(Generators, Grid) {
   EXPECT_EQ(g.num_nodes(), 12);
   EXPECT_EQ(g.num_edges(), 3 * 3 + 4 * 2);  // horizontal + vertical
   EXPECT_EQ(diameter(g), 5);
+  expect_csr_invariants(g);
 }
 
 TEST(Generators, Hypercube) {
@@ -133,12 +203,14 @@ TEST(Generators, Hypercube) {
   EXPECT_EQ(g.num_edges(), 32);
   EXPECT_EQ(g.max_degree(), 4);
   EXPECT_EQ(diameter(g), 4);
+  expect_csr_invariants(g);
 }
 
 TEST(Generators, CompleteBipartite) {
   Graph g = make_complete_bipartite(3, 4);
   EXPECT_EQ(g.num_edges(), 12);
   EXPECT_EQ(diameter(g), 2);
+  expect_csr_invariants(g);
 }
 
 TEST(Generators, GnpRespectsExtremes) {
@@ -147,6 +219,9 @@ TEST(Generators, GnpRespectsExtremes) {
   EXPECT_EQ(empty.num_edges(), 0);
   Graph full = make_gnp(10, 1.0, rng);
   EXPECT_EQ(full.num_edges(), 45);
+  expect_csr_invariants(empty);
+  expect_csr_invariants(full);
+  expect_csr_invariants(make_gnp(60, 0.1, rng));
 }
 
 TEST(Generators, GnpSparseRespectsExtremesAndExpectation) {
@@ -162,6 +237,8 @@ TEST(Generators, GnpSparseRespectsExtremesAndExpectation) {
   Graph g = make_gnp_sparse(n, 4.0 / n, rng);
   EXPECT_GT(g.num_edges(), 3998 - 320);
   EXPECT_LT(g.num_edges(), 3998 + 320);
+  expect_csr_invariants(full);
+  expect_csr_invariants(g);
   // Deterministic for a fixed seed.
   Rng r1(7), r2(7);
   EXPECT_EQ(make_gnp_sparse(200, 0.05, r1).edges(),
@@ -174,6 +251,7 @@ TEST(Generators, GnmHasExactlyMEdges) {
     Graph g = make_gnm(100, m, rng);
     EXPECT_EQ(g.num_nodes(), 100);
     EXPECT_EQ(g.num_edges(), m);
+    expect_csr_invariants(g);
   }
   EXPECT_THROW(make_gnm(100, 4951, rng), std::invalid_argument);
   EXPECT_THROW(make_gnm(100, -1, rng), std::invalid_argument);
@@ -203,11 +281,13 @@ TEST(Generators, SparseFamiliesBuildThroughGraphSpec) {
   const Graph b = gnps.build();
   EXPECT_EQ(a.edges(), b.edges());
   EXPECT_EQ(a.ids(), b.ids());
+  expect_csr_invariants(a);
   EXPECT_EQ(gnps.name(), "gnps_256_p0.03125_s17_rid");
 
   const GraphSpec gnm = GraphSpec::gnm(256, 512, 23);
   const Graph c = gnm.build();
   EXPECT_EQ(c.num_edges(), 512);
+  expect_csr_invariants(c);
   EXPECT_EQ(gnm.name(), "gnm_256_m512_s23");
 }
 
@@ -227,6 +307,7 @@ TEST(Generators, RandomTreeIsTree) {
     Graph g = make_random_tree(n, rng);
     EXPECT_EQ(g.num_nodes(), n);
     EXPECT_TRUE(is_tree(g)) << "n=" << n;
+    expect_csr_invariants(g);
   }
 }
 
@@ -235,6 +316,7 @@ TEST(Generators, RandomConnectedHasExtraEdges) {
   Graph g = make_random_connected(20, 10, rng);
   EXPECT_TRUE(is_connected(g));
   EXPECT_EQ(g.num_edges(), 19 + 10);
+  expect_csr_invariants(g);
 }
 
 TEST(Generators, RootedLineStructure) {
@@ -242,6 +324,7 @@ TEST(Generators, RootedLineStructure) {
   EXPECT_EQ(t.parent[0], kNoNode);
   EXPECT_EQ(t.parent[4], 3);
   EXPECT_TRUE(is_tree(t.graph));
+  expect_csr_invariants(t.graph);
 }
 
 TEST(Generators, RootedBinaryTree) {
@@ -249,6 +332,7 @@ TEST(Generators, RootedBinaryTree) {
   EXPECT_EQ(t.graph.num_nodes(), 15);
   EXPECT_TRUE(is_tree(t.graph));
   EXPECT_EQ(t.parent[14], 6);
+  expect_csr_invariants(t.graph);
 }
 
 TEST(Generators, RootedRandomTreeParentsValid) {
@@ -260,18 +344,21 @@ TEST(Generators, RootedRandomTreeParentsValid) {
     EXPECT_LT(t.parent[v], v);
     EXPECT_TRUE(t.graph.has_edge(v, t.parent[v]));
   }
+  expect_csr_invariants(t.graph);
 }
 
 TEST(Generators, RootedKaryTree) {
   RootedTree t = make_rooted_kary_tree(3, 3);
   EXPECT_EQ(t.graph.num_nodes(), 1 + 3 + 9);
   EXPECT_TRUE(is_tree(t.graph));
+  expect_csr_invariants(t.graph);
 }
 
 TEST(Generators, Caterpillar) {
   Graph g = make_caterpillar(4, 2);
   EXPECT_EQ(g.num_nodes(), 12);
   EXPECT_TRUE(is_tree(g));
+  expect_csr_invariants(g);
 }
 
 TEST(Generators, DisjointUnionKeepsBothSidesAndDistinctIds) {
@@ -282,6 +369,7 @@ TEST(Generators, DisjointUnionKeepsBothSidesAndDistinctIds) {
   std::set<Value> ids(u.ids().begin(), u.ids().end());
   EXPECT_EQ(ids.size(), 7u);
   EXPECT_EQ(connected_components(u).size(), 2u);
+  expect_csr_invariants(u);
 }
 
 TEST(Generators, RandomizeIdsIsPermutation) {
@@ -306,10 +394,7 @@ TEST(Generators, SparseIdsWithinDomain) {
 }
 
 TEST(Properties, ConnectedComponents) {
-  Graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
-  g.add_edge(3, 4);
+  Graph g(6, {{0, 1}, {2, 3}, {3, 4}});
   auto comps = connected_components(g);
   ASSERT_EQ(comps.size(), 3u);
   EXPECT_EQ(comps[0], (std::vector<NodeId>{0, 1}));
@@ -321,8 +406,7 @@ TEST(Properties, BfsDistances) {
   Graph g = make_line(5);
   auto dist = bfs_distances(g, 0);
   EXPECT_EQ(dist[4], 4);
-  Graph h(3);
-  h.add_edge(0, 1);
+  Graph h(3, {{0, 1}});
   auto d2 = bfs_distances(h, 0);
   EXPECT_EQ(d2[2], -1);
 }
