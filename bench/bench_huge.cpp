@@ -99,10 +99,10 @@ std::vector<HugeCase> build_cases(bool smoke, bool n10m) {
     };
   };
   // Budgets (bytes/node, average degree 8): Luby's round-1 all-broadcast
-  // materializes ~8n SendRecords twice (shard + canonical copy) plus the
-  // flat inbox, on top of the graph (~70 B/node) and the SoA scratch
-  // (~60 B/node) — measured ~1.1 KB/node, capped at 2 KB. Greedy sends no
-  // messages (idle/wake signalling only), so the graph dominates: 256 B.
+  // materializes ~8n SendRecords plus the flat inbox, on top of the graph
+  // (~70 B/node) and the SoA scratch (~60 B/node) — measured ~1.1 KB/node,
+  // capped at 2 KB. Greedy sends no messages (idle/wake signalling only),
+  // so the graph dominates: 256 B.
   // The streaming-transcript row adds the bounded reuse buffer only.
   //
   // Within each n the low-budget greedy rows run BEFORE the Luby rows:

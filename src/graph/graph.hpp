@@ -12,8 +12,8 @@
 // neighbors are neighbors_[offsets_[v] .. offsets_[v+1]), sorted by
 // internal index. Directed edge (v, neighbors(v)[j]) is numbered
 // offsets_[v] + j — the one slot numbering (edge_slot) shared by the
-// engine's edge outputs and resend cache, the link layer, the skeleton
-// bitmap and edge predictions. Δ is computed at construction. Identifiers
+// engine's edge outputs and resend cache, the link layer and edge
+// predictions. Δ is computed at construction. Identifiers
 // are not part of the adjacency and may still be reassigned.
 #pragma once
 

@@ -5,7 +5,6 @@
 
 #include "common/require.hpp"
 #include "graph/properties.hpp"
-#include "sim/compile.hpp"
 #include "sim/link_layer.hpp"
 #include "sim/thread_pool.hpp"
 
@@ -95,7 +94,6 @@ void NodeContext::send(NodeId to, const Value* words, std::size_t count,
   r.channel = channel;
   r.len = static_cast<std::uint32_t>(count);
   r.offset = 0;
-  r.words = nullptr;
   r.flags = 0;
   if (engine_->compile_defaults_ &&
       matches_default(sh, channel, words, count)) {
@@ -132,7 +130,6 @@ void NodeContext::broadcast(const Value* words, std::size_t count,
   r.channel = channel;
   r.len = static_cast<std::uint32_t>(count);
   r.offset = 0;
-  r.words = nullptr;
   r.flags = 0;
   if (engine_->compile_defaults_ &&
       matches_default(sh, channel, words, count)) {
@@ -143,28 +140,6 @@ void NodeContext::broadcast(const Value* words, std::size_t count,
   } else {
     // One arena copy of the payload, shared by every per-neighbor record.
     r.offset = sh.arena.append(words, count);
-  }
-  if (engine_->compile_skeleton_ != nullptr && sh.skeleton_relay) {
-    // Skeleton relay: the payload physically crosses only skeleton edges;
-    // records for the pruned edges are flagged kSkeletonDrop (charged as
-    // suppressed, never delivered — the wrapped program's receive logic is
-    // flood-idempotent by the opt-in contract, docs/MODEL.md). Walk the
-    // active-neighbor view against the full adjacency to recover each
-    // neighbor's edge slot; both are ascending, so one merge pass suffices.
-    const Skeleton& sk = *engine_->compile_skeleton_;
-    const auto nb = engine_->graph_.neighbors(index_);
-    const std::uint32_t base = engine_->graph_.offsets()[index_];
-    std::size_t j = 0;
-    for (NodeId u : an) {
-      while (nb[j] != u) ++j;
-      r.to = u;
-      r.flags &= static_cast<std::uint8_t>(~detail::SendRecord::kSkeletonDrop);
-      if (!sk.edge_in_skeleton[base + j]) {
-        r.flags |= detail::SendRecord::kSkeletonDrop;
-      }
-      sh.sends.push_back(r);
-    }
-    return;
   }
   for (NodeId u : an) {
     r.to = u;
@@ -201,12 +176,6 @@ void NodeContext::declare_default(const std::vector<Value>& words,
 void NodeContext::declare_default(std::initializer_list<Value> words,
                                   int channel) {
   declare_default(words.begin(), words.size(), channel);
-}
-
-void NodeContext::relay_on_skeleton() {
-  DGAP_REQUIRE(engine_->in_send_phase_,
-               "relay_on_skeleton() is only valid in onSend");
-  shard_->skeleton_relay = true;
 }
 
 std::span<const Message> NodeContext::inbox() const {
@@ -371,11 +340,9 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
   s_.recv_count.assign(nu, 0);
   s_.recv_nodes.clear();
   s_.woken.clear();
-  s_.wake_next.clear();
   s_.next_awake.clear();
   s_.newly_terminated.clear();
   s_.touched_receivers.clear();
-  s_.sorted_sends.clear();
   s_.inbox_flat.clear();
   s_.shards.resize(static_cast<std::size_t>(options_.num_threads));
   for (auto& sh : s_.shards) {
@@ -390,12 +357,15 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
   }
   // Receiver-shard ownership: shard t owns [n*t/S, n*(t+1)/S) — the same
   // slicing run_sharded uses, a pure function of (n, S). The per-node
-  // ownership map makes routing a table lookup; only built when a parallel
-  // delivery path can run.
+  // ownership map makes delivery routing a table lookup; only built when
+  // there is more than one shard to route to.
   DGAP_REQUIRE(options_.num_threads <= 65535, "num_threads out of range");
   const std::size_t nshards = s_.shards.size();
   s_.recv_shards.resize(nshards);
-  for (auto& rs : s_.recv_shards) {
+  for (std::size_t t = 0; t < nshards; ++t) {
+    auto& rs = s_.recv_shards[t];
+    rs.lo = static_cast<NodeId>(nu * t / nshards);
+    rs.hi = static_cast<NodeId>(nu * (t + 1) / nshards);
     rs.acct = detail::CongestAccount{};
     rs.touched.clear();
     rs.touched_first.clear();
@@ -410,10 +380,8 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
   if (nshards > 1) {
     s_.node_shard.resize(nu);
     for (std::size_t t = 0; t < nshards; ++t) {
-      const std::size_t lo = nu * t / nshards;
-      const std::size_t hi = nu * (t + 1) / nshards;
-      std::fill(s_.node_shard.begin() + static_cast<std::ptrdiff_t>(lo),
-                s_.node_shard.begin() + static_cast<std::ptrdiff_t>(hi),
+      const auto& rs = s_.recv_shards[t];
+      std::fill(s_.node_shard.begin() + rs.lo, s_.node_shard.begin() + rs.hi,
                 static_cast<std::uint16_t>(t));
     }
   } else {
@@ -438,12 +406,6 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
   // edge cache is addressed by Graph::edge_slot.
   compile_cache_ = options_.compile.cache_resends;
   compile_defaults_ = options_.compile.decode_defaults;
-  compile_skeleton_ = options_.compile.skeleton;
-  if (compile_skeleton_ != nullptr) {
-    DGAP_REQUIRE(compile_skeleton_->parent.size() == nu &&
-                     compile_skeleton_->edge_in_skeleton.size() == total_adj,
-                 "skeleton does not match the graph");
-  }
   if (compile_cache_) {
     s_.cache_state.assign(total_adj, 0);
     s_.cache_channel.assign(total_adj, 0);
@@ -471,19 +433,24 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
 
 Engine::~Engine() = default;
 
-void Engine::charge(std::size_t payload_words, int channel) {
-  acct_.charge(payload_words, channel, options_.congest_word_limit);
+template <typename Body>
+void Engine::for_each_shard(const Body& body) {
+  if (!pool_) {
+    body(0);
+    return;
+  }
+  pool_->run(body);
 }
 
 template <typename Body>
 void Engine::run_sharded(std::size_t worklist_size, const Body& body) {
-  const auto shards = s_.shards.size();
+  const std::size_t shards = s_.shards.size();
   const std::size_t m = worklist_size;
-  if (!pool_) {
+  if (shards == 1) {
     body(0, 0, m);
     return;
   }
-  pool_->run([&](int s) {
+  for_each_shard([&](int s) {
     const std::size_t su = static_cast<std::size_t>(s);
     body(s, m * su / shards, m * (su + 1) / shards);
   });
@@ -500,7 +467,6 @@ void Engine::send_phase() {
       const NodeId v = s_.awake_nodes[i];
       sh.last_channel = INT_MIN;
       sh.default_active = false;   // declarations last one node-round
-      sh.skeleton_relay = false;
       NodeContext ctx(this, v, &sh);
       programs_[v]->on_send(ctx);
     }
@@ -508,196 +474,78 @@ void Engine::send_phase() {
   in_send_phase_ = false;
 }
 
-// Applies fn to every send record of the round in canonical order:
-// (sender, channel, send order), senders ascending. The common case is the
-// raw concatenation of the shard buffers (shards are contiguous slices of
-// the ascending worklist); the rare channel-repair case iterates the sorted
-// copy instead.
-template <typename Fn>
-void Engine::for_each_send(const Fn& fn) const {
-  if (use_sorted_sends_) {
-    for (const auto& r : s_.sorted_sends) fn(r);
-    return;
-  }
-  for (const auto& sh : s_.shards) {
-    for (const auto& r : sh.sends) fn(r);
-  }
-}
-
 void Engine::deliver_round_messages() {
-  // Pick the delivery path. The parallel path requires a pool (more than
-  // one shard), the audit-only congest policy (an enforcing link layer is
-  // a serial scheduler by design), and monotone per-sender channels (the
-  // rare repair sort re-orders records globally, which the reference path
-  // handles). Everything the two paths publish — inbox slices, touched
-  // order, account totals, cache state — is bit-identical by construction;
-  // engine_determinism_test and compile_test pin it.
-  bool channels_monotone = true;
-  for (const auto& sh : s_.shards) channels_monotone &= sh.channels_monotone;
-  if (pool_ != nullptr && link_ == nullptr && channels_monotone) {
-    deliver_parallel();
-    return;
-  }
-  deliver_serial();
-}
-
-void Engine::deliver_serial() {
-  // Freeze the per-shard arenas and resolve each record's payload pointer,
-  // charging the message metrics in sender order. Small payloads (at most
-  // SendRecord::kInlineCap words) live inline in the record itself, so
-  // their resolved pointer is a self-pointer — valid because the shard
-  // buffers are frozen for the rest of the round (sorted_sends copies keep
-  // pointing at the originals). Every sent message is charged — including
-  // messages addressed to a node that terminated in an earlier round. The
-  // model's cost accounting is sender-side: the sender cannot know the
-  // receiver is gone until the termination notice arrives (next round's
-  // active_neighbors view), so the words crossed the wire and count toward
-  // total_messages/total_words. Delivery, however, drops them below: a
-  // terminated node has no receive phase, and resurrected inboxes would
-  // violate the model. Pinned by
-  // Engine.DropsToTerminatedAreChargedNotDelivered in engine_test.cpp.
-  // The same pass also runs the counting stage of the receiver scatter
-  // (below) — per-record work is memory-bound, so fusing the loops matters —
-  // and accumulates the metrics locally, folding them in once per round.
-  bool channels_monotone = true;
-  std::size_t arena_words = 0;
-  const int congest_limit = options_.congest_word_limit;
-  const bool enforce = link_ != nullptr;
-  s_.touched_receivers.clear();
-  std::uint32_t delivered = 0;
-  for (auto& sh : s_.shards) {
-    channels_monotone &= sh.channels_monotone;
-    sh.channels_monotone = true;
-    arena_words += sh.arena.size();
-    const Value* base = sh.arena.data();
-    for (auto& r : sh.sends) {
-      r.words = r.len <= detail::SendRecord::kInlineCap ? r.inline_words
-                                                        : base + r.offset;
-      if (r.flags & detail::SendRecord::kSkeletonDrop) {
-        // A relayed broadcast's pruned copy: charged as suppressed (the
-        // nominal program sent it; the compiled wire did not) and never
-        // delivered. It bypasses the cache — the receiver's one-slot memory
-        // tracks delivered messages only.
-        acct_.charge(r.len, r.channel, congest_limit, /*suppressed=*/true);
-        continue;
-      }
-      // The per-edge cache sees this edge's records in canonical order
-      // here, just as the parallel path's owning receiver shard does, so
-      // num_threads cannot influence hit patterns. It also absorbs
-      // default-suppressed records (the receiver's memory advances either
-      // way).
-      if (compile_cache_ && cache_check_and_update(r)) {
-        r.flags |= detail::SendRecord::kSuppressed;
-      }
-      acct_.charge(r.len, r.channel, congest_limit,
-                   (r.flags & detail::SendRecord::kSuppressed) != 0);
-      // Under an enforcing policy the link layer decides what arrives this
-      // round; the receiver counting below only feeds the fast-path scatter.
-      if (!enforce && s_.node_active[r.to]) {
-        if (s_.recv_count[r.to]++ == 0) s_.touched_receivers.push_back(r.to);
-        ++delivered;
-      }
-    }
-  }
-  peak_arena_words_ = std::max(peak_arena_words_, arena_words);
-
-  // The shard buffers are ordered by (sender, send order). The required
-  // inbox order is (sender, channel, send order), which differs only if
-  // some node sent on a decreasing channel sequence — rare (compositions
-  // emit channel blocks in ascending order) — and is repaired by one
-  // stable sort of a merged copy when it happens.
-  use_sorted_sends_ = !channels_monotone;
-  if (use_sorted_sends_) {
-    s_.sorted_sends.clear();
-    for (const auto& sh : s_.shards) {
-      s_.sorted_sends.insert(s_.sorted_sends.end(), sh.sends.begin(),
-                           sh.sends.end());
-    }
-    std::stable_sort(s_.sorted_sends.begin(), s_.sorted_sends.end(),
-                     [](const detail::SendRecord& a,
-                        const detail::SendRecord& b) {
-                       return std::tie(a.from, a.channel) <
-                              std::tie(b.from, b.channel);
-                     });
-  }
-
-  if (enforce) {
-    deliver_enforced();
-    return;
-  }
-
-  // Counting-sort scatter by receiver (counting ran fused with the resolve
-  // pass above). Grouping receivers in first-touch order (rather than
-  // ascending) keeps this O(messages), not O(n); the stable scatter
-  // preserves the (sender, channel, send order) sequence within each
-  // receiver's slice. Terminated receivers are never counted, so their
-  // messages are dropped right here.
-  std::uint32_t cursor = 0;
-  for (const NodeId to : s_.touched_receivers) {
-    s_.inbox_ref[to] = {cursor, 0, round_};
-    cursor += s_.recv_count[to];
-    s_.recv_count[to] = 0;  // restore the all-zero invariant for next round
-  }
-  s_.inbox_flat.resize(delivered);
-  for_each_send([&](const detail::SendRecord& r) {
-    if (r.flags & detail::SendRecord::kSkeletonDrop) return;
-    if (!s_.node_active[r.to]) return;
-    auto& ref = s_.inbox_ref[r.to];
-    s_.inbox_flat[ref.begin + ref.count++] =
-        Message{r.from, static_cast<int>(r.channel), WordSpan(r.words, r.len),
-                false, (r.flags & detail::SendRecord::kSuppressed) != 0};
-  });
-}
-
-void Engine::deliver_parallel() {
-  // Receiver-sharded delivery: four passes with pool barriers between
-  // them, replacing deliver_serial's fused loop plus serial scatter.
+  // Receiver-sharded delivery. The same four passes run at every shard
+  // count S; with S = 1 (no pool) each pass runs inline on one shard.
   //
-  //   A (parallel over sender shards)   freeze each arena, resolve payload
-  //     pointers, and route every record to the receiver shard owning its
-  //     `to` — a stable counting sort of record indices, so each bucket
-  //     preserves send order.
-  //   B (parallel over receiver shards) walk owned records in ascending
-  //     global send order (sender shards in index order; buckets are
-  //     in-order within a shard), running the compile cache, the per-shard
-  //     message account, and the inbox counting. Each node's recv_count
-  //     slot and each directed edge's cache line has exactly one writer.
-  //   C (serial, O(shards + receivers)) prefix-sum the per-shard inbox
-  //     regions, merge the accounts in fixed shard order, and merge the
+  //   A (over sender shards)   repair channel order, and route every
+  //     record to the receiver shard owning its `to` — a stable counting
+  //     sort of record indices, so each bucket preserves send order.
+  //   B (over receiver shards) walk owned records in ascending global send
+  //     order, running the compile cache, the per-shard message account,
+  //     and the inbox counting. Each node's recv_count slot and each
+  //     directed edge's cache line has exactly one writer.
+  //   C (serial, O(shards + receivers)) merge the accounts in fixed shard
+  //     order, prefix-sum the per-shard inbox regions, and merge the
   //     per-shard first-touch lists into the global first-touch order.
-  //   D (parallel over receiver shards) assign each owned receiver's slice
-  //     inside this shard's region and scatter the owned records into it.
+  //   D (over receiver shards) assign each owned receiver's slice inside
+  //     this shard's region and scatter the owned records into it.
   //
-  // Why the result is byte-identical to deliver_serial: (sender, channel,
-  // send order) within a slice holds because routing is stable and sender
-  // shards are visited in index order — within one receiver's slice the
-  // scatter sees records in exactly the serial global order (channels are
-  // monotone on this path, or we would not be here). The cache's hit/miss
-  // sequence per directed edge is the serial one because all of an edge's
-  // records meet in the one shard owning the receiver, still in global
-  // order. Account totals are order-independent reductions. And the trace
-  // spine's receiver order is recovered exactly in pass C: each shard's
-  // touched list ascends in the global index of the receiver's first
-  // record, so an S-way merge on those indices is the serial first-touch
-  // order. inbox_flat's internal layout does differ (shard regions instead
-  // of global first-touch order), but nothing observes the layout — every
-  // consumer goes through inbox_ref or touched_receivers.
+  // Under an enforcing policy pass B skips the inbox counting, and the
+  // records go to the serial link layer instead of passes C and D.
+  //
+  // Why the result is a function of the round's sends alone, not of S: the
+  // shard buffers are ordered by (sender, send order); the inbox order is
+  // (sender, channel, send order), which differs only when some node sent
+  // on a decreasing channel sequence. Pass A repairs that with a stable
+  // sort of the send shard's own records — every record of a sender is in
+  // that sender's shard, and send shards are ascending contiguous slices
+  // of the awake worklist, so the per-shard sorts joined in shard order are
+  // one global stable sort. Routing is stable and sender shards are
+  // visited in index order, so each receiver's slice, and each directed
+  // edge's cache hit/miss sequence (all of an edge's records meet in the
+  // shard owning the receiver), follow that global order. Account totals
+  // are order-independent reductions. The trace spine's receiver order is
+  // recovered in pass C: each shard's touched list ascends in the global
+  // index of the receiver's first record, so an S-way merge on those
+  // indices is the global first-touch order. inbox_flat's layout depends
+  // on S (shard regions), but nothing observes it — every consumer goes
+  // through inbox_ref or touched_receivers.
   const int congest_limit = options_.congest_word_limit;
   const std::size_t S = s_.shards.size();
+  const bool route = S > 1;
+  const bool enforce = link_ != nullptr;
 
-  pool_->run([&](int k) {
+  // Per-sender-shard global index bases and the arena high-water mark.
+  std::size_t arena_words = 0;
+  s_.send_base[0] = 0;
+  for (std::size_t k = 0; k < S; ++k) {
+    s_.send_base[k + 1] =
+        s_.send_base[k] + static_cast<std::uint32_t>(s_.shards[k].sends.size());
+    arena_words += s_.shards[k].arena.size();
+  }
+  peak_arena_words_ = std::max(peak_arena_words_, arena_words);
+  if (s_.send_base[S] == 0 && !enforce) {
+    s_.touched_receivers.clear();  // a silent round delivers nothing
+    return;
+  }
+
+  for_each_shard([&](int k) {
     auto& sh = s_.shards[static_cast<std::size_t>(k)];
-    sh.channels_monotone = true;
+    if (!sh.channels_monotone) {
+      std::stable_sort(sh.sends.begin(), sh.sends.end(),
+                       [](const detail::SendRecord& a,
+                          const detail::SendRecord& b) {
+                         return std::tie(a.from, a.channel) <
+                                std::tie(b.from, b.channel);
+                       });
+      sh.channels_monotone = true;
+    }
+    if (!route) return;
     sh.any_long = false;
-    const Value* base = sh.arena.data();
     sh.route_begin.assign(S + 1, 0);
-    for (auto& r : sh.sends) {
-      if (r.len <= detail::SendRecord::kInlineCap) {
-        r.words = r.inline_words;
-      } else {
-        r.words = base + r.offset;
-        sh.any_long = true;
-      }
+    for (const auto& r : sh.sends) {
+      sh.any_long |= r.len > detail::SendRecord::kInlineCap;
       ++sh.route_begin[s_.node_shard[r.to] + 1];
     }
     for (std::size_t t = 0; t < S; ++t) {
@@ -710,90 +558,102 @@ void Engine::deliver_parallel() {
     }
   });
 
-  // Serial inter-pass step: per-sender-shard global index bases, the arena
-  // high-water mark, and — when compiling — the long-payload store, sized
-  // here so pass B never resizes a shared vector concurrently.
-  std::size_t arena_words = 0;
+  // When compiling, size the long-payload store here so pass B never
+  // resizes a shared vector concurrently (with one shard, any_long stays
+  // false and the cache sizes the store itself).
   bool any_long = false;
-  s_.send_base[0] = 0;
-  for (std::size_t k = 0; k < S; ++k) {
-    s_.send_base[k + 1] =
-        s_.send_base[k] + static_cast<std::uint32_t>(s_.shards[k].sends.size());
-    arena_words += s_.shards[k].arena.size();
-    any_long |= s_.shards[k].any_long;
-  }
-  peak_arena_words_ = std::max(peak_arena_words_, arena_words);
+  for (const auto& sh : s_.shards) any_long |= sh.any_long;
   if (compile_cache_ && any_long &&
       s_.cache_long.size() < s_.cache_state.size()) {
     s_.cache_long.resize(s_.cache_state.size());
   }
-  use_sorted_sends_ = false;
 
-  pool_->run([&](int t) {
+  // Pass B. Every sent message is charged — including messages addressed
+  // to a node that terminated in an earlier round. The model's cost
+  // accounting is sender-side: the sender cannot know the receiver is gone
+  // until the termination notice arrives (next round's active_neighbors
+  // view), so the words crossed the wire and count toward total_messages/
+  // total_words. Delivery, however, drops them: a terminated node has no
+  // receive phase, and resurrected inboxes would violate the model. Pinned
+  // by Engine.DropsToTerminatedAreChargedNotDelivered in engine_test.cpp.
+  // The cache also absorbs default-suppressed records (the receiver's
+  // memory advances either way).
+  //
+  // Passes B and D visit receiver shard t's records in ascending global
+  // send order: sender shards in index order, each routing bucket
+  // (route_idx[route_begin[t], route_begin[t + 1])) in send order. With
+  // one shard the bucket is the send buffer itself.
+  for_each_shard([&](int t) {
     const std::size_t tu = static_cast<std::size_t>(t);
     auto& rs = s_.recv_shards[tu];
-    rs.acct = detail::CongestAccount{};
     rs.touched.clear();
     rs.touched_first.clear();
+    detail::CongestAccount acct;
     std::uint32_t delivered = 0;
     for (std::size_t k = 0; k < S; ++k) {
       auto& sh = s_.shards[k];
-      const std::uint32_t base_idx = s_.send_base[k];
-      const std::uint32_t je = sh.route_begin[tu + 1];
-      for (std::uint32_t j = sh.route_begin[tu]; j < je; ++j) {
-        const std::uint32_t idx = sh.route_idx[j];
+      const Value* arena = sh.arena.data();
+      const std::uint32_t je =
+          route ? sh.route_begin[tu + 1]
+                : static_cast<std::uint32_t>(sh.sends.size());
+      for (std::uint32_t j = route ? sh.route_begin[tu] : 0; j < je; ++j) {
+        const std::uint32_t idx = route ? sh.route_idx[j] : j;
         auto& r = sh.sends[idx];
-        if (r.flags & detail::SendRecord::kSkeletonDrop) {
-          rs.acct.charge(r.len, r.channel, congest_limit, /*suppressed=*/true);
-          continue;
-        }
-        if (compile_cache_ && cache_check_and_update(r)) {
+        if (compile_cache_ && cache_check_and_update(r, r.payload(arena))) {
           r.flags |= detail::SendRecord::kSuppressed;
         }
-        rs.acct.charge(r.len, r.channel, congest_limit,
-                       (r.flags & detail::SendRecord::kSuppressed) != 0);
-        if (s_.node_active[r.to]) {
-          if (s_.recv_count[r.to]++ == 0) {
-            rs.touched.push_back(r.to);
-            rs.touched_first.push_back(base_idx + idx);
-          }
-          ++delivered;
+        acct.charge(r.len, r.channel, congest_limit,
+                    (r.flags & detail::SendRecord::kSuppressed) != 0);
+        // Under an enforcing policy the link layer decides what arrives.
+        if (enforce || !s_.node_active[r.to]) continue;
+        if (s_.recv_count[r.to]++ == 0) {
+          rs.touched.push_back(r.to);
+          if (route) rs.touched_first.push_back(s_.send_base[k] + idx);
         }
+        ++delivered;
       }
     }
+    rs.acct = acct;
     rs.delivered = delivered;
   });
 
+  for (const auto& rs : s_.recv_shards) acct_.merge_from(rs.acct);
+  if (enforce) {
+    deliver_enforced();
+    return;
+  }
   std::uint32_t total = 0;
-  for (std::size_t t = 0; t < S; ++t) {
-    auto& rs = s_.recv_shards[t];
+  for (auto& rs : s_.recv_shards) {
     rs.region = total;
     total += rs.delivered;
-    acct_.merge_from(rs.acct);
   }
   s_.inbox_flat.resize(total);
-  s_.touched_receivers.clear();
-  std::fill(s_.merge_pos.begin(), s_.merge_pos.end(), 0);
-  for (;;) {
-    std::size_t best = S;
-    std::uint32_t best_first = 0;
-    for (std::size_t t = 0; t < S; ++t) {
-      const auto& rs = s_.recv_shards[t];
-      const std::size_t pos = s_.merge_pos[t];
-      if (pos >= rs.touched_first.size()) continue;
-      const std::uint32_t f = rs.touched_first[pos];
-      if (best == S || f < best_first) {
-        best = t;
-        best_first = f;
+  if (route) {
+    s_.touched_receivers.clear();
+    std::fill(s_.merge_pos.begin(), s_.merge_pos.end(), 0);
+    for (;;) {
+      std::size_t best = S;
+      std::uint32_t best_first = 0;
+      for (std::size_t t = 0; t < S; ++t) {
+        const auto& rs = s_.recv_shards[t];
+        const std::size_t pos = s_.merge_pos[t];
+        if (pos >= rs.touched_first.size()) continue;
+        const std::uint32_t f = rs.touched_first[pos];
+        if (best == S || f < best_first) {
+          best = t;
+          best_first = f;
+        }
       }
+      if (best == S) break;
+      s_.touched_receivers.push_back(
+          s_.recv_shards[best].touched[s_.merge_pos[best]]);
+      ++s_.merge_pos[best];
     }
-    if (best == S) break;
-    s_.touched_receivers.push_back(
-        s_.recv_shards[best].touched[s_.merge_pos[best]]);
-    ++s_.merge_pos[best];
   }
 
-  pool_->run([&](int t) {
+  // Pass D. Terminated receivers were never counted, so their messages
+  // are dropped here.
+  for_each_shard([&](int t) {
     const std::size_t tu = static_cast<std::size_t>(t);
     auto& rs = s_.recv_shards[tu];
     std::uint32_t cursor = rs.region;
@@ -803,48 +663,57 @@ void Engine::deliver_parallel() {
       s_.recv_count[to] = 0;  // restore the all-zero invariant for next round
     }
     for (std::size_t k = 0; k < S; ++k) {
-      auto& sh = s_.shards[k];
-      const std::uint32_t je = sh.route_begin[tu + 1];
-      for (std::uint32_t j = sh.route_begin[tu]; j < je; ++j) {
-        const auto& r = sh.sends[sh.route_idx[j]];
-        if (r.flags & detail::SendRecord::kSkeletonDrop) continue;
+      const auto& sh = s_.shards[k];
+      const Value* arena = sh.arena.data();
+      const std::uint32_t je =
+          route ? sh.route_begin[tu + 1]
+                : static_cast<std::uint32_t>(sh.sends.size());
+      for (std::uint32_t j = route ? sh.route_begin[tu] : 0; j < je; ++j) {
+        const auto& r = sh.sends[route ? sh.route_idx[j] : j];
         if (!s_.node_active[r.to]) continue;
         auto& ref = s_.inbox_ref[r.to];
         s_.inbox_flat[ref.begin + ref.count++] =
             Message{r.from, static_cast<int>(r.channel),
-                    WordSpan(r.words, r.len), false,
+                    WordSpan(r.payload(arena), r.len), false,
                     (r.flags & detail::SendRecord::kSuppressed) != 0};
       }
     }
   });
+  // With one shard its touched list is the first-touch order.
+  if (!route) std::swap(s_.touched_receivers, s_.recv_shards[0].touched);
 }
 
 void Engine::deliver_enforced() {
   // Feed the round's sends to the link layer in canonical (sender, channel,
-  // send order) — ingest() runs after the channel-repair sort above, so the
-  // per-link FIFO queues inherit exactly the fast path's order. All link
-  // state mutation is serial; num_threads cannot influence the schedule.
+  // send order) — the send shards in index order, each already repaired by
+  // pass A — so the per-link FIFO queues inherit exactly the inbox order.
+  // All link state mutation is serial; num_threads cannot influence the
+  // schedule.
   auto& link = *link_;
   link.begin_round(round_);
-  for_each_send([&](const detail::SendRecord& r) {
-    if (r.flags & detail::SendRecord::kSkeletonDrop) return;
-    if (r.flags & detail::SendRecord::kSuppressed) {
-      // A suppressed message never crosses the wire, so it cannot be
-      // deferred, truncated, or charged against a link budget; it is
-      // synthesized at the receiver in its send round (the free lunch —
-      // compile_test pins the no-double-count property).
-      if (s_.node_active[r.to]) link.deliver_suppressed(r);
-      return;
+  for (const auto& sh : s_.shards) {
+    const Value* arena = sh.arena.data();
+    for (const auto& r : sh.sends) {
+      if (r.flags & detail::SendRecord::kSuppressed) {
+        // A suppressed message never crosses the wire, so it cannot be
+        // deferred, truncated, or charged against a link budget; it is
+        // synthesized at the receiver in its send round (the free lunch —
+        // compile_test pins the no-double-count property).
+        if (s_.node_active[r.to]) link.deliver_suppressed(r, r.payload(arena));
+        continue;
+      }
+      link.ingest(r, r.payload(arena), s_.node_active.data());
     }
-    link.ingest(r, s_.node_active.data());
-  });
+  }
   link.finish_round(s_.node_active.data());
 
   // Counting-sort scatter of the cleared messages. The link layer emits
   // them with ascending senders and FIFO per link, so each receiver's slice
-  // comes out in (sender, channel, send order) like the fast path — for
-  // carried-over traffic, ordered by the round the words finished crossing.
+  // comes out in (sender, channel, send order) like the unenforced path —
+  // for carried-over traffic, ordered by the round the words finished
+  // crossing.
   const auto& deliveries = link.deliveries();
+  s_.touched_receivers.clear();
   for (const auto& d : deliveries) {
     if (s_.recv_count[d.to]++ == 0) s_.touched_receivers.push_back(d.to);
   }
@@ -863,7 +732,8 @@ void Engine::deliver_enforced() {
   }
 }
 
-bool Engine::cache_check_and_update(detail::SendRecord& r) {
+bool Engine::cache_check_and_update(const detail::SendRecord& r,
+                                    const Value* words) {
   // One cache slot per directed edge, addressed by the graph's edge slot
   // of (sender, receiver) — the receiver-memory model: "what was the
   // last message delivered on this edge?". A hit means the receiver can
@@ -880,7 +750,7 @@ bool Engine::cache_check_and_update(detail::SendRecord& r) {
     const Value* stored = small ? s_.cache_words.data() + slot * kCap
                                 : s_.cache_long[slot].data();
     for (std::uint32_t i = 0; i < r.len && hit; ++i) {
-      hit = stored[i] == r.words[i];
+      hit = stored[i] == words[i];
     }
   }
   if (hit) return true;
@@ -889,13 +759,13 @@ bool Engine::cache_check_and_update(detail::SendRecord& r) {
   s_.cache_len[slot] = r.len;
   if (small) {
     for (std::uint32_t i = 0; i < r.len; ++i) {
-      s_.cache_words[slot * kCap + i] = r.words[i];
+      s_.cache_words[slot * kCap + i] = words[i];
     }
   } else {
     if (s_.cache_long.size() < s_.cache_state.size()) {
       s_.cache_long.resize(s_.cache_state.size());
     }
-    s_.cache_long[slot].assign(r.words, r.words + r.len);
+    s_.cache_long[slot].assign(words, words + r.len);
   }
   return false;
 }
@@ -959,123 +829,30 @@ void Engine::receive_phase(const std::vector<NodeId>& recv) {
 
 void Engine::process_terminations(const std::vector<NodeId>& recv,
                                   std::vector<int>& termination_round) {
-  if (pool_ != nullptr) {
-    process_terminations_parallel(recv, termination_round);
-    return;
-  }
-  // Only nodes whose hooks ran this round can have requested termination,
-  // and every such node is on the receive worklist (awake nodes plus
-  // delivery-woken sleepers), so the sweep is O(recv), not O(n).
-  s_.newly_terminated.clear();
-  for (const NodeId v : recv) {
-    if (!s_.terminate_flag[v]) continue;
-    s_.node_active[v] = 0;
-    --active_count_;
-    termination_round[v] = round_;
-    s_.newly_terminated.push_back(v);  // ascending: the worklist is ascending
-    if (!sinks_.empty()) {
-      materialize_edge_outputs(v, term_edge_outputs_);
-      for (TraceSink* sink : sinks_) {
-        sink->on_termination(round_, v, s_.node_output[v],
-                             term_edge_outputs_);
-      }
-    }
-  }
-  bool any_idle = false;
-  for (const auto& sh : s_.shards) any_idle |= sh.any_idle;
-  if (s_.newly_terminated.empty() && !any_idle && s_.woken.empty()) return;
-  s_.wake_next.clear();
-  if (!s_.newly_terminated.empty()) {
-    // Charge the notification messages implied by the Section 7 convention
-    // (one message carrying the node's outputs to each neighbor that is
-    // still active) and collect the affected neighbors, deduplicated via
-    // the s_.recv_count scratch (all-zero between rounds, restored below).
-    // s_.touched_receivers is likewise free until next round's delivery.
-    s_.touched_receivers.clear();
-    for (const NodeId v : s_.newly_terminated) {
-      const std::size_t notice_words = 1 + edge_output_count(v);
-      for (NodeId u : graph_.neighbors(v)) {
-        if (!s_.node_active[u]) continue;
-        charge(notice_words, /*channel=*/0);
-        if (s_.recv_count[u]++ == 0) s_.touched_receivers.push_back(u);
-      }
-    }
-    // Drop every terminated node from each affected view by compacting the
-    // node's live CSR prefix in one linear pass (an invariant of the view
-    // is that it never contains inactive nodes, so filtering on the active
-    // flag removes exactly this round's batch). A termination is also a
-    // wake event: the neighbor's view changes next round, so any idle
-    // promise it made is void.
-    for (const NodeId u : s_.touched_receivers) {
-      s_.recv_count[u] = 0;
-      NodeId* live = s_.an_pool.data() + graph_.offsets()[u];
-      const std::uint32_t count = s_.an_count[u];
-      std::uint32_t w = 0;
-      for (std::uint32_t i = 0; i < count; ++i) {
-        const NodeId x = live[i];
-        if (s_.node_active[x]) live[w++] = x;
-      }
-      s_.an_count[u] = w;
-      s_.idle_request[u] = 0;
-      if (!s_.node_awake[u]) {
-        s_.node_awake[u] = 1;
-        s_.wake_next.push_back(u);
-      }
-    }
-    std::sort(s_.wake_next.begin(), s_.wake_next.end());
-  }
-  // Rebuild the awake worklist for the next round: the receive worklist
-  // (which contains every currently-awake node) filtered by liveness and
-  // this round's idle requests, merged with the sleepers just woken by a
-  // termination (disjoint from recv by construction: they were asleep and
-  // received nothing).
-  s_.next_awake.clear();
-  std::size_t ri = 0, wi = 0;
-  const std::size_t rn = recv.size(), wn = s_.wake_next.size();
-  while (ri < rn || wi < wn) {
-    NodeId v;
-    if (wi >= wn || (ri < rn && recv[ri] < s_.wake_next[wi])) {
-      v = recv[ri++];
-    } else {
-      v = s_.wake_next[wi++];
-    }
-    if (!s_.node_active[v]) {
-      s_.node_awake[v] = 0;
-      s_.idle_request[v] = 0;
-      continue;
-    }
-    if (s_.idle_request[v]) {
-      s_.idle_request[v] = 0;
-      s_.node_awake[v] = 0;
-      continue;
-    }
-    s_.node_awake[v] = 1;
-    s_.next_awake.push_back(v);
-  }
-  std::swap(s_.awake_nodes, s_.next_awake);
-}
-
-void Engine::process_terminations_parallel(
-    const std::vector<NodeId>& recv, std::vector<int>& termination_round) {
-  // The serial sweep above, re-cut along receiver-shard ownership. Three
-  // pool passes:
-  //   T1 (over recv slices)      detect terminations. Slices of the
-  //       ascending worklist are contiguous, so concatenating the per-slot
-  //       lists in slot order is the serial ascending sweep; trace sinks
-  //       then fire serially over that list, in ascending node order as the
-  //       spine contract requires.
-  //   T2 (over receiver shards)  charge the Section 7 notices for owned
-  //       still-active neighbors into the shard's account, compact their
-  //       active-neighbor prefixes, void their idle promises, and wake
-  //       owned sleepers. Every shard scans the full terminated-node
-  //       adjacency but writes only owned nodes' slots; node_active is
-  //       frozen after T1, so cross-shard reads are safe.
+  // Termination processing, sharded by receiver ownership. Three passes:
+  //   T1 (over recv slices)      detect terminations. Only nodes whose
+  //       hooks ran this round can have requested termination, and every
+  //       such node is on the receive worklist, so the sweep is O(recv),
+  //       not O(n). Slices of the ascending worklist are contiguous, so
+  //       concatenating the per-slot lists in slot order is ascending; trace
+  //       sinks then fire serially over that list, in ascending node order
+  //       as the spine contract requires.
+  //   T2 (over receiver shards)  charge the Section 7 notices (one message
+  //       carrying the node's outputs to each still-active neighbor) for
+  //       owned neighbors into the shard's account, drop the terminated
+  //       nodes from their active-neighbor prefixes, void their idle
+  //       promises (a termination is a wake event: the neighbor's view
+  //       changes next round), and wake owned sleepers. Every shard scans
+  //       the full terminated-node adjacency but writes only owned nodes'
+  //       slots; node_active is frozen after T1, so cross-shard reads are
+  //       safe.
   //   T3 (over receiver shards)  rebuild the awake worklist: each shard
   //       merges its owned sub-range of recv (a binary search — recv is
   //       ascending) with its own woken sleepers (disjoint from recv: they
-  //       were asleep and received nothing). Ownership ranges are
-  //       contiguous and ascending, so concatenating per-shard segments in
-  //       shard order is the serial ascending rebuild.
+  //       were asleep and received nothing), filtered by liveness and this
+  //       round's idle requests. Ownership ranges are contiguous and
+  //       ascending, so concatenating per-shard segments in shard order is
+  //       the ascending rebuild.
   const std::size_t S = s_.shards.size();
   const int congest_limit = options_.congest_word_limit;
   run_sharded(recv.size(), [&](int s, std::size_t lo, std::size_t hi) {
@@ -1089,11 +866,15 @@ void Engine::process_terminations_parallel(
       rs.newly_terminated.push_back(v);
     }
   });
-  s_.newly_terminated.clear();
-  for (const auto& rs : s_.recv_shards) {
-    s_.newly_terminated.insert(s_.newly_terminated.end(),
-                               rs.newly_terminated.begin(),
-                               rs.newly_terminated.end());
+  if (S == 1) {
+    std::swap(s_.newly_terminated, s_.recv_shards[0].newly_terminated);
+  } else {
+    s_.newly_terminated.clear();
+    for (const auto& rs : s_.recv_shards) {
+      s_.newly_terminated.insert(s_.newly_terminated.end(),
+                                 rs.newly_terminated.begin(),
+                                 rs.newly_terminated.end());
+    }
   }
   active_count_ -= static_cast<NodeId>(s_.newly_terminated.size());
   if (!sinks_.empty()) {
@@ -1109,21 +890,26 @@ void Engine::process_terminations_parallel(
   if (s_.newly_terminated.empty() && !any_idle && s_.woken.empty()) return;
 
   if (!s_.newly_terminated.empty()) {
-    pool_->run([&](int t) {
-      const std::size_t tu = static_cast<std::size_t>(t);
-      auto& rs = s_.recv_shards[tu];
-      rs.acct = detail::CongestAccount{};
+    for_each_shard([&](int t) {
+      auto& rs = s_.recv_shards[static_cast<std::size_t>(t)];
       rs.touched.clear();
       rs.wake.clear();
-      const std::uint16_t self = static_cast<std::uint16_t>(t);
+      detail::CongestAccount acct;
+      const NodeId lo = rs.lo, hi = rs.hi;
+      // Neighbors are deduplicated via the recv_count scratch (all-zero
+      // between rounds, restored below).
       for (const NodeId v : s_.newly_terminated) {
         const std::size_t notice_words = 1 + edge_output_count(v);
         for (NodeId u : graph_.neighbors(v)) {
-          if (s_.node_shard[u] != self || !s_.node_active[u]) continue;
-          rs.acct.charge(notice_words, /*channel=*/0, congest_limit);
+          if (u < lo || u >= hi || !s_.node_active[u]) continue;
+          acct.charge(notice_words, /*channel=*/0, congest_limit);
           if (s_.recv_count[u]++ == 0) rs.touched.push_back(u);
         }
       }
+      rs.acct = acct;
+      // Compact each affected prefix in one linear pass: the view never
+      // contains inactive nodes, so filtering on the active flag removes
+      // exactly this round's batch.
       for (const NodeId u : rs.touched) {
         s_.recv_count[u] = 0;
         NodeId* live = s_.an_pool.data() + graph_.offsets()[u];
@@ -1142,24 +928,18 @@ void Engine::process_terminations_parallel(
       }
       std::sort(rs.wake.begin(), rs.wake.end());
     });
-    for (std::size_t t = 0; t < S; ++t) {
-      acct_.merge_from(s_.recv_shards[t].acct);
-    }
+    for (const auto& rs : s_.recv_shards) acct_.merge_from(rs.acct);
   } else {
     for (auto& rs : s_.recv_shards) rs.wake.clear();
   }
 
-  const std::size_t nu = static_cast<std::size_t>(graph_.num_nodes());
-  pool_->run([&](int t) {
-    const std::size_t tu = static_cast<std::size_t>(t);
-    auto& rs = s_.recv_shards[tu];
+  for_each_shard([&](int t) {
+    auto& rs = s_.recv_shards[static_cast<std::size_t>(t)];
     rs.next_awake.clear();
-    const NodeId lo = static_cast<NodeId>(nu * tu / S);
-    const NodeId hi = static_cast<NodeId>(nu * (tu + 1) / S);
     std::size_t ri = static_cast<std::size_t>(
-        std::lower_bound(recv.begin(), recv.end(), lo) - recv.begin());
+        std::lower_bound(recv.begin(), recv.end(), rs.lo) - recv.begin());
     const std::size_t rn = static_cast<std::size_t>(
-        std::lower_bound(recv.begin(), recv.end(), hi) - recv.begin());
+        std::lower_bound(recv.begin(), recv.end(), rs.hi) - recv.begin());
     std::size_t wi = 0;
     const std::size_t wn = rs.wake.size();
     while (ri < rn || wi < wn) {
@@ -1183,6 +963,11 @@ void Engine::process_terminations_parallel(
       rs.next_awake.push_back(v);
     }
   });
+  // recv may alias awake_nodes; it is dead from here on.
+  if (S == 1) {
+    std::swap(s_.awake_nodes, s_.recv_shards[0].next_awake);
+    return;
+  }
   s_.next_awake.clear();
   for (const auto& rs : s_.recv_shards) {
     s_.next_awake.insert(s_.next_awake.end(), rs.next_awake.begin(),

@@ -84,15 +84,16 @@ inline int message_width(std::size_t payload_words, int channel) {
   return static_cast<int>(payload_words) + (channel != 0 ? 1 : 0);
 }
 
-/// Message-metric accumulator shared by every accounting site — the
-/// delivery passes, the termination-notice charges, and the link scheduler
-/// — so the CONGEST bookkeeping cannot drift between the paths. The serial
-/// paths charge the engine's member account directly; the parallel
-/// delivery and termination passes charge one instance per receiver shard
-/// and merge them into the member account in fixed shard order each round.
-/// Every counter is an order-independent reduction (sums, plus one max),
-/// so the merged totals are *exactly* — not approximately — the serial
-/// ones for any num_threads; folded into the RunResult once per run.
+/// Message-metric accumulator shared by the two accounting sites — the
+/// delivery pass (pass B, every sent message) and the termination pass
+/// (the Section 7 notices) — so the CONGEST bookkeeping cannot drift
+/// between them. Each pass charges one instance per receiver shard and
+/// merges them into the engine's run account in fixed shard order each
+/// round. Every counter is an order-independent reduction (sums, plus one
+/// max), so the merged totals are *exactly* — not approximately — the same
+/// for any num_threads; folded into the RunResult once per run. The link
+/// layer charges nothing: an enforcing policy decides when and how much
+/// arrives, never what the sender paid.
 ///
 /// `messages`/`words` are the *nominal* totals — what the uncompiled
 /// algorithm pays, suppressed traffic included — so compiling a run never
@@ -127,9 +128,9 @@ struct CongestAccount {
   }
 
   /// Merge another account into this one (the fixed-shard-order reduction
-  /// of the parallel delivery pass). All counters are sums except
-  /// max_width, which is a max — both order-independent, so the merged
-  /// account equals the serial one exactly.
+  /// of the sharded passes). All counters are sums except max_width, which
+  /// is a max — both order-independent, so the merged account does not
+  /// depend on the shard count.
   void merge_from(const CongestAccount& o) {
     messages += o.messages;
     words += o.words;
@@ -147,52 +148,55 @@ struct CongestAccount {
 /// One queued send. Payloads of at most kInlineCap words — the common case
 /// for every algorithm in docs/ALGORITHMS.md — are stored inline in the
 /// record itself and never touch the arena; larger payloads record the
-/// (offset, len) of their arena copy. `words` is filled in after the send
-/// phase, once both the arena and the shard's record vector are frozen
-/// (either may still grow — and move — while the phase runs, which is why
-/// neither an arena pointer nor a self-pointer can be taken earlier).
+/// (offset, len) of their arena copy. Neither an arena pointer nor a
+/// self-pointer is stored: both the arena and the shard's record vector may
+/// still grow — and move — while the send phase runs, so payload() resolves
+/// the words on demand once the phase has frozen them.
 struct SendRecord {
   static constexpr std::uint32_t kInlineCap = 2;
 
-  // Compile-transform flags (EngineOptions::compile). kSuppressed: the
-  // payload stays off the wire but the delivery is synthesized (charged
-  // suppressed, still delivered). kSkeletonDrop: a relayed broadcast's
-  // copy on a non-skeleton edge — charged suppressed, never delivered.
+  // Compile-transform flag (EngineOptions::compile): the payload stays off
+  // the wire but the delivery is synthesized (charged suppressed, still
+  // delivered).
   static constexpr std::uint8_t kSuppressed = 1;
-  static constexpr std::uint8_t kSkeletonDrop = 2;
 
   NodeId to;
   NodeId from;
   std::int32_t channel;
   std::uint32_t len;
   std::uint32_t offset;         // arena offset; unused when len <= kInlineCap
-  const Value* words;           // resolved after the send phase
   Value inline_words[kInlineCap];
   std::uint8_t flags;
+
+  /// The payload words, given the sending shard's frozen arena.
+  const Value* payload(const Value* arena) const {
+    return len <= kInlineCap ? inline_words : arena + offset;
+  }
 };
 
-/// Outgoing traffic of one contiguous slice of the awake worklist. Serial
-/// runs use a single shard; parallel runs give each thread its own, merged
-/// in slice order so the round buffer is identical to the serial one.
+/// Outgoing traffic of one contiguous slice of the awake worklist, one
+/// shard per engine thread. Slices ascend with the shard index, so the
+/// shard buffers in index order are the round's sends in sender order.
 struct SendShard {
   MessageArena arena;
   std::vector<SendRecord> sends;
-  bool channels_monotone = true;  // every sender's channels non-decreasing?
+  // Every sender's channels non-decreasing? Else delivery pass A sorts
+  // `sends` by (sender, channel) before routing.
+  bool channels_monotone = true;
   int last_channel = 0;           // channel of the current node's last send
   bool any_idle = false;          // some node on this slice called idle()
-  // declare_default / relay_on_skeleton state of the node currently in its
-  // on_send hook (reset per node, like last_channel). Shard-local, so the
-  // parallel send phase needs no shared state.
+  // declare_default state of the node currently in its on_send hook (reset
+  // per node, like last_channel). Shard-local, so the sharded send phase
+  // needs no shared state.
   bool default_active = false;
-  bool skeleton_relay = false;
   std::int32_t default_channel = 0;
   std::uint32_t default_len = 0;
   Value default_words[SendRecord::kInlineCap];
-  // Receiver routing (parallel delivery only): this shard's send records
+  // Receiver routing (more than one shard only): this shard's send records
   // grouped by the receiver shard that owns `to` — a stable counting sort
   // of record indices, so each bucket preserves send order. route_begin
   // holds S + 1 bucket offsets into route_idx. any_long notes a payload
-  // over SendRecord::kInlineCap this round (the serial between-phases step
+  // over SendRecord::kInlineCap this round (the serial between-passes step
   // sizes the compile cache's long-payload store before shards touch it).
   std::vector<std::uint32_t> route_idx;
   std::vector<std::uint32_t> route_begin;
@@ -200,7 +204,7 @@ struct SendShard {
   bool any_long = false;
 };
 
-/// Per-receiver-shard state of the parallel delivery and mutation passes.
+/// Per-receiver-shard state of the delivery and termination passes.
 /// Receiver shard t owns the contiguous node range [n*t/S, n*(t+1)/S) for
 /// the whole run — a pure function of (n, S), never of scheduling — and
 /// every per-node slot (recv_count, inbox slices, active-neighbor
@@ -210,12 +214,15 @@ struct SendShard {
 /// account) are merged serially in fixed shard order; because ownership
 /// ranges are contiguous and ascending, concatenation in shard order *is*
 /// ascending node order, and the account counters are order-independent
-/// reductions — which is why the merged result is bit-identical to the
-/// serial pass (docs/MODEL.md, "Simulator internals & performance model").
+/// reductions — which is why the merged result does not depend on S
+/// (docs/MODEL.md, "Threading determinism").
 struct RecvShard {
+  NodeId lo = 0;                             // owned nodes: [lo, hi)
+  NodeId hi = 0;
   CongestAccount acct;                       // merged in shard order
   std::vector<NodeId> touched;               // owned receivers, first-touch
-  std::vector<std::uint32_t> touched_first;  // global index of first record
+  std::vector<std::uint32_t> touched_first;  // merge key (S > 1 only):
+                                             // global index of 1st record
   std::uint32_t delivered = 0;               // records scattered by this shard
   std::uint32_t region = 0;                  // this shard's inbox_flat base
   std::vector<NodeId> newly_terminated;      // T1 scratch (ascending)
@@ -263,9 +270,8 @@ struct EngineScratch {
   std::vector<NodeId> awake_nodes;        // awake node indices, ascending
   std::vector<NodeId> recv_nodes;         // receive worklist (merged wakes)
   std::vector<NodeId> woken;              // sleepers woken by a delivery
-  std::vector<NodeId> wake_next;          // sleepers woken by a termination
   std::vector<NodeId> next_awake;         // rebuild target for awake_nodes
-  std::vector<NodeId> newly_terminated;   // scratch for termination pass
+  std::vector<NodeId> newly_terminated;   // this round's, ascending
   // --- struct-of-arrays node state ---
   std::vector<Value> node_output;         // key-0 outputs; kUndefined unset
   std::vector<NodeId> an_pool;            // active-neighbor live prefixes
@@ -274,14 +280,13 @@ struct EngineScratch {
   std::vector<std::uint32_t> edge_out_count;  // assigned slots per node
   // --- message data plane ---
   std::vector<detail::SendShard> shards;  // one per engine thread
-  std::vector<detail::SendRecord> sorted_sends;  // rare channel-repair path
   std::vector<Message> inbox_flat;        // receiver-grouped round buffer
   std::vector<detail::InboxRef> inbox_ref;  // per node, stamped by round
   std::vector<std::uint32_t> recv_count;  // scratch; all-zero between rounds
   std::vector<NodeId> touched_receivers;  // receivers seen this round
-  // --- receiver-shard ownership (parallel delivery/mutation passes) ---
+  // --- receiver-shard ownership (delivery and termination passes) ---
   std::vector<detail::RecvShard> recv_shards;  // one per engine thread
-  std::vector<std::uint16_t> node_shard;  // owning receiver shard per node
+  std::vector<std::uint16_t> node_shard;  // owning shard per node (S > 1)
   std::vector<std::uint32_t> send_base;   // global index base per send shard
   std::vector<std::size_t> merge_pos;     // touched-list merge cursor scratch
   // --- message-reduction compiler state (EngineOptions::compile), SoA per
@@ -366,17 +371,6 @@ class NodeContext {
   void declare_default(const std::vector<Value>& words, int channel = 0);
   void declare_default(std::initializer_list<Value> words, int channel = 0);
 
-  /// Declare this round's broadcasts flood-idempotent (the sparse-skeleton
-  /// transform): when the engine runs with a compile.skeleton installed,
-  /// broadcasts from this node are relayed only over skeleton edges; the
-  /// copies on non-skeleton edges are charged as suppressed and NOT
-  /// delivered. Unlike the other transforms this changes inboxes, so it is
-  /// sound only for stages whose outputs and (schedule-bound) round counts
-  /// are invariant under delayed information — e.g. flooding an extremum
-  /// for a fixed number of rounds. Only valid in onSend. Inert without an
-  /// installed skeleton.
-  void relay_on_skeleton();
-
   /// Messages received this round, ordered by (sender, channel, send
   /// order). Only meaningful in onReceive; the underlying storage is
   /// reused across rounds, so copy anything that must outlive the round.
@@ -445,14 +439,12 @@ class NodeProgram {
 using ProgramFactory =
     std::function<std::unique_ptr<NodeProgram>(NodeId index)>;
 
-struct Skeleton;  // deterministic spanning skeleton (sim/compile.hpp)
-
 /// Knobs of the message-reduction compiler pass (sim/compile.hpp; docs/
 /// MODEL.md "Message-reduction compilation"). All default off — the
 /// uncompiled engine is untouched. The transforms change what crosses the
 /// wire (RunResult::messages_sent vs messages_suppressed), never the
-/// nominal totals, and — skeleton relay aside — never program behavior:
-/// suppressed messages are still delivered (synthesized at the receiver),
+/// nominal totals, and never program behavior: suppressed messages are
+/// still delivered (synthesized at the receiver),
 /// so outputs, rounds, and kRounds transcripts are byte-identical to the
 /// uncompiled run by construction.
 struct CompileOptions {
@@ -463,14 +455,8 @@ struct CompileOptions {
   /// (2) Silence-as-information: suppress sends matching the default the
   /// program declared this round (NodeContext::declare_default).
   bool decode_defaults = false;
-  /// (3) Sparse skeleton for broadcasts a program declares relayable
-  /// (NodeContext::relay_on_skeleton): copies on non-skeleton edges are
-  /// suppressed and not delivered. Borrowed; must outlive run().
-  const Skeleton* skeleton = nullptr;
 
-  bool any() const {
-    return cache_resends || decode_defaults || skeleton != nullptr;
-  }
+  bool any() const { return cache_resends || decode_defaults; }
 };
 
 struct EngineOptions {
@@ -497,9 +483,9 @@ struct EngineOptions {
   /// Null (the default) installs no sink: the engine then makes no
   /// virtual calls and does no per-message trace work at all.
   TraceSink* trace_sink = nullptr;
-  /// Shard the round pipeline over this many threads (1 = serial).
-  /// Results are bit-identical to the serial run regardless of the value —
-  /// see docs/MODEL.md "Simulator internals & performance model".
+  /// Shard the round pipeline over this many threads (1 = no pool; the
+  /// same passes run inline). Results are bit-identical for every value —
+  /// see docs/MODEL.md "Threading determinism".
   int num_threads = 1;
   /// Measure the wall-ns each round spends in each pipeline stage
   /// (RunResult::phase_ns; per-round deltas via
@@ -603,53 +589,45 @@ class Engine {
  private:
   friend class NodeContext;
 
+  /// Runs body(shard) once per shard — on the pool when there is one,
+  /// inline when S = 1. Every sharded pass goes through here.
+  template <typename Body>
+  void for_each_shard(const Body& body);
   /// Runs body(shard, lo, hi) for each contiguous slice [lo, hi) of a
-  /// worklist of the given size — on the pool when configured, inline
-  /// otherwise. Slices are a pure function of (worklist size, shard
-  /// count), so concatenating per-shard output in shard order is
-  /// independent of the thread count; that is the heart of the
+  /// worklist of the given size. Slices are a pure function of (worklist
+  /// size, shard count), so concatenating per-shard output in shard order
+  /// is independent of the thread count; that is the heart of the
   /// determinism contract.
   template <typename Body>
   void run_sharded(std::size_t worklist_size, const Body& body);
   void send_phase();
+  /// Receiver-sharded delivery (passes A–D): resolve + route over sender
+  /// shards, then charge/cache/count and inbox scatter over receiver
+  /// shards, with per-shard accounts merged in fixed shard order.
   void deliver_round_messages();
-  /// Reference delivery path: one serial fused resolve/charge/count pass
-  /// plus a serial scatter. Used when the engine is serial (one shard),
-  /// under an enforcing link layer, and on the rare channel-repair rounds;
-  /// the parallel path below must match it bit for bit.
-  void deliver_serial();
-  /// Receiver-sharded delivery: parallel resolve + route over sender
-  /// shards, then parallel charge/cache/count and inbox scatter over
-  /// receiver shards, with per-shard accounts merged in fixed shard order.
-  /// Requires monotone channels and no enforcing link layer.
-  void deliver_parallel();
-  /// Enforcing-policy tail of delivery: route the round's sends through the
-  /// link layer and scatter what it clears into the inboxes.
+  /// Enforcing-policy tail of delivery (after pass B): route the round's
+  /// sends through the link layer and scatter what it clears into the
+  /// inboxes.
   void deliver_enforced();
-  template <typename Fn>
-  void for_each_send(const Fn& fn) const;
   /// Wake sleeping nodes that received traffic this round; returns the
   /// receive worklist (awake_nodes when nothing woke, else the merged
   /// recv_nodes).
   const std::vector<NodeId>& collect_delivery_wakes();
   void receive_phase(const std::vector<NodeId>& recv);
+  /// Termination processing, sharded by receiver ownership: detection over
+  /// recv slices, notice charging / view compaction / wake collection over
+  /// owned neighbors, and the awake-worklist rebuild over owned recv
+  /// sub-ranges (the RecvShard merge argument makes the outcome independent
+  /// of S).
   void process_terminations(const std::vector<NodeId>& recv,
                             std::vector<int>& termination_round);
-  /// Parallel twin of process_terminations, sharded by receiver ownership:
-  /// detection over recv slices, notice charging / view compaction / wake
-  /// collection over owned neighbors, and the awake-worklist rebuild over
-  /// owned recv sub-ranges. Byte-identical outcome by the RecvShard merge
-  /// argument.
-  void process_terminations_parallel(const std::vector<NodeId>& recv,
-                                     std::vector<int>& termination_round);
-  void charge(std::size_t payload_words, int channel);
-  /// Neighborhood-cache lookup/update for one resolved record. Called from
-  /// the serial delivery loop, or from the one receiver shard owning
-  /// r.to — each directed edge's cache line has exactly one writer, and it
-  /// sees that edge's records in canonical order either way. Returns true
-  /// when the record repeats the edge's previous message — the caller
-  /// marks it suppressed.
-  bool cache_check_and_update(detail::SendRecord& r);
+  /// Neighborhood-cache lookup/update for one record with payload `words`,
+  /// called from the one receiver shard owning r.to — each directed edge's
+  /// cache line has exactly one writer, and it sees that edge's records in
+  /// canonical order. Returns true when the record repeats the edge's
+  /// previous message — the caller marks it suppressed.
+  bool cache_check_and_update(const detail::SendRecord& r,
+                              const Value* words);
   /// Emit this round's delivered messages (the freshly scattered inbox
   /// slices) to the sinks. Only called when a sink wants message detail.
   void trace_deliveries();
@@ -672,17 +650,15 @@ class Engine {
   int round_ = 0;
   bool in_send_phase_ = false;
   NodeId active_count_ = 0;
-  // The run's message account. Serial paths (the reference delivery loop,
-  // the link layer's policies) charge here directly; the parallel delivery
-  // and termination passes charge per-receiver-shard accounts and merge
-  // them into this one in fixed shard order each round (exact — see
-  // CongestAccount::merge_from). Folded into the RunResult once, at the
-  // end of run().
+  // The run's message account. The delivery and termination passes charge
+  // per-receiver-shard accounts and merge them into this one in fixed
+  // shard order each round (exact — see CongestAccount::merge_from); no
+  // other site charges. Folded into the RunResult once, at the end of
+  // run().
   detail::CongestAccount acct_;
   // Compile knobs cached as flat flags (checked per send / per record).
   bool compile_cache_ = false;
   bool compile_defaults_ = false;
-  const Skeleton* compile_skeleton_ = nullptr;
   // Lazy edge-output pool handshake: readers that see `false` short-circuit
   // to kUndefined; the release store publishes the initialized pool.
   std::atomic<bool> edge_out_ready_{false};
@@ -694,7 +670,6 @@ class Engine {
   // additionally reuses their capacity across consecutive engines) ---
   std::unique_ptr<EngineScratch> owned_scratch_;  // null when injected
   EngineScratch& s_;
-  bool use_sorted_sends_ = false;           // this round's sends were sorted
   std::unique_ptr<ThreadPool> owned_pool_;  // null when shared
   ThreadPool* pool_ = nullptr;              // workers when num_threads > 1
   // Bandwidth scheduler; only constructed for enforcing policies, so the

@@ -48,18 +48,19 @@ void LinkLayer::deliver(NodeId to, NodeId from, std::int32_t channel,
   deliveries_.push_back({to, from, channel, len, words, truncated});
 }
 
-void LinkLayer::deliver_suppressed(const SendRecord& r) {
+void LinkLayer::deliver_suppressed(const SendRecord& r, const Value* words) {
   // Synthesized delivery: no link budget is consumed, no queue entry is
   // created, nothing can be deferred or truncated. Arrives in its send
   // round, before any link-transmitted traffic of the round (the engine
   // ingests sends in canonical order, so these keep ascending-sender order
-  // among themselves). The record's payload pointer stays valid through the
-  // receive phase (it points into the frozen shard arenas).
+  // among themselves). The payload pointer stays valid through the receive
+  // phase (it points into the frozen shard records or arenas).
   deliveries_.push_back(
-      {r.to, r.from, r.channel, r.len, r.words, false, /*suppressed=*/true});
+      {r.to, r.from, r.channel, r.len, words, false, /*suppressed=*/true});
 }
 
-void LinkLayer::ingest(const SendRecord& r, const std::uint8_t* node_active) {
+void LinkLayer::ingest(const SendRecord& r, const Value* words,
+                       const std::uint8_t* node_active) {
   const std::size_t link = link_index(r.from, r.to);
   const auto width =
       static_cast<std::uint32_t>(message_width(r.len, r.channel));
@@ -74,7 +75,7 @@ void LinkLayer::ingest(const SendRecord& r, const std::uint8_t* node_active) {
       p.channel = r.channel;
       p.words_remaining = width;
       p.sent_round = round_;
-      p.payload.assign(r.words, r.words + r.len);
+      p.payload.assign(words, words + r.len);
       link_state.q.push_back(std::move(p));
       link_state.backlog += width;
       total_backlog_ += width;
@@ -100,7 +101,7 @@ void LinkLayer::ingest(const SendRecord& r, const std::uint8_t* node_active) {
         truncated_words_ += width - consumed;
       }
       if (node_active[r.to]) {
-        deliver(r.to, r.from, r.channel, r.words, payload_len, truncated);
+        deliver(r.to, r.from, r.channel, words, payload_len, truncated);
       }
       break;
     }
@@ -117,7 +118,7 @@ void LinkLayer::ingest(const SendRecord& r, const std::uint8_t* node_active) {
               std::to_string(budget_) + " words per link per round)");
       used_[link] += width;
       if (node_active[r.to]) {
-        deliver(r.to, r.from, r.channel, r.words, r.len, false);
+        deliver(r.to, r.from, r.channel, words, r.len, false);
       }
       break;
     }

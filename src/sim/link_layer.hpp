@@ -22,13 +22,14 @@
 //
 // Determinism by construction: fresh sends are ingested in the engine's
 // canonical (sender, channel, send order); links transmit in ascending
-// (sender, neighbor) order; and all link-state mutation happens in the
-// serial delivery step between the (possibly parallel) send and receive
-// phases, so `num_threads` cannot influence the schedule. An enforcing
-// policy therefore selects the engine's serial reference delivery path —
-// the receiver-sharded parallel scatter never runs under a link layer, and
-// the layer charges the engine's run account directly (never the per-shard
-// accounts), so link budgets and RunResult counters stay exact. The full
+// (sender, neighbor) order; and all link-state mutation happens in one
+// serial step between the sharded send and receive phases, so
+// `num_threads` cannot influence the schedule. The engine runs its
+// sharded delivery passes A and B first (channel repair, payload resolve,
+// resend cache, and the message charge), then hands the records to this
+// layer in shard order; the layer's own scatter replaces passes C and D.
+// The layer charges nothing — every message was already charged in pass
+// B, so link budgets decide only when and how much arrives. The full
 // contract lives in docs/MODEL.md, "CONGEST enforcement semantics";
 // tests/engine_test.cpp and tests/engine_determinism_test.cpp pin it.
 #pragma once
@@ -41,9 +42,9 @@
 namespace dgap::detail {
 
 // message_width / CongestAccount — the shared accounting primitives — live
-// in sim/engine.hpp (the engine owns the run account; serial sites, this
-// link layer included, charge it directly, and the parallel delivery pass
-// merges its per-receiver-shard accounts into it in fixed shard order).
+// in sim/engine.hpp (the engine owns the run account; its delivery and
+// termination passes merge per-receiver-shard accounts into it in fixed
+// shard order, and this layer only reads message_width for its budgets).
 
 /// A message the link layer cleared for delivery this round. `words` stays
 /// valid through the round's receive phase (it points into either the
@@ -71,16 +72,17 @@ class LinkLayer {
   /// delivered payload storage.
   void begin_round(int round);
 
-  /// Feed one fresh send (canonical order). kTruncate / kFail resolve it
-  /// immediately; kDefer queues it on its link.
-  void ingest(const SendRecord& r, const std::uint8_t* node_active);
+  /// Feed one fresh send (canonical order) whose payload is `words`.
+  /// kTruncate / kFail resolve it immediately; kDefer queues it on its link.
+  void ingest(const SendRecord& r, const Value* words,
+              const std::uint8_t* node_active);
 
   /// Deliver a compile-suppressed message in its send round without
   /// touching any link budget: its words never cross the wire, so it can
   /// neither be deferred, truncated, nor fail the budget contract (the
   /// no-double-count property compile_test pins). The caller has already
   /// filtered terminated receivers.
-  void deliver_suppressed(const SendRecord& r);
+  void deliver_suppressed(const SendRecord& r, const Value* words);
 
   /// Transmit queued traffic within each link's budget (kDefer only; a
   /// no-op for the other policies). Must run after every ingest() of the

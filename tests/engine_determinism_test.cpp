@@ -13,11 +13,15 @@
 //     above: its schedule is computed serially between the sharded send
 //     and receive phases, so num_threads and node-order shuffles cannot
 //     change what arrives when.
+//  5. A sender that emits a decreasing channel sequence still produces
+//     inboxes in (sender, channel, send order) at every thread count,
+//     with and without the link layer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -36,8 +40,8 @@ namespace {
 /// phase_ns, explicitly excluded from the determinism contract) and
 /// peak_arena_bytes (capacity growth may differ across thread counts; the
 /// *contents* may not). The suppression split is compared exactly: the
-/// parallel delivery's per-shard accounts must merge to the same counters
-/// the serial reference path charges.
+/// per-receiver-shard accounts must merge to the same counters at every
+/// thread count.
 void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.rounds, b.rounds);
@@ -266,23 +270,130 @@ TEST(EngineDeterminism, TranscriptIsThreadCountInvariant) {
 
 TEST(EngineDeterminism, DeferTranscriptIsThreadCountInvariant) {
   // Under kDefer the transcript records effective arrival rounds, so byte
-  // equality also pins the whole deferral schedule.
+  // equality also pins the whole deferral schedule. Every enforcing input
+  // runs delivery passes A and B (channel repair, resend cache, charge)
+  // sharded before the serial link layer, so sweep both enforcing
+  // policies with the cache off and on: BurstEcho's 4-word bursts defer or
+  // truncate at B = 3, and flood_min's 1-word re-broadcasts give the cache
+  // hits whose suppressed deliveries bypass the link budget.
+  Rng rng(33);
+  Graph flood_graph = make_random_connected(48, 40, rng);
+  randomize_ids(flood_graph, rng);
+  struct Input {
+    const char* name;
+    Graph g;
+    ProgramFactory factory;
+  };
+  const std::vector<Input> inputs = {
+      {"burst_echo", test_graph(),
+       [](NodeId) { return std::make_unique<BurstEchoProgram>(); }},
+      {"flood_min", flood_graph, flood_min_algorithm()},
+  };
+  for (const Input& in : inputs) {
+    for (CongestPolicy policy :
+         {CongestPolicy::kDefer, CongestPolicy::kTruncate}) {
+      for (bool cache : {false, true}) {
+        const bool defer = policy == CongestPolicy::kDefer;
+        SCOPED_TRACE(std::string(in.name) + (defer ? " defer" : " truncate") +
+                     (cache ? " cache" : ""));
+        EngineOptions opt = recording_options(1);
+        opt.congest_policy = policy;
+        opt.congest_word_limit = 3;
+        opt.compile.cache_resends = cache;
+        const RecordedRun serial =
+            record_run(in.g, {}, in.factory, opt, TraceDetail::kPayloads);
+        ASSERT_TRUE(serial.result.completed);
+        if (std::string(in.name) == "burst_echo") {
+          ASSERT_GT(defer ? serial.result.deferred_words
+                          : serial.result.truncated_words,
+                    0);
+        } else if (cache) {
+          ASSERT_GT(serial.result.messages_suppressed, 0);
+        }
+        for (int threads : {2, 4, 8}) {
+          EngineOptions topt = opt;
+          topt.num_threads = threads;
+          const RecordedRun parallel =
+              record_run(in.g, {}, in.factory, topt, TraceDetail::kPayloads);
+          EXPECT_EQ(serial.transcript, parallel.transcript)
+              << "num_threads = " << threads;
+          expect_identical(serial.result, parallel.result);
+        }
+      }
+    }
+  }
+}
+
+/// Sends on a decreasing channel sequence, so delivery has to repair every
+/// sender's record order: in each of rounds 1-3 every node sends channels
+/// 2, 1, 2 to each neighbor, then broadcasts on channel 0. Payloads are
+/// (send round, per-node send counter). A receiver checks that its inbox
+/// is in (sender, send round, channel, send order) — the canonical
+/// (sender, channel, send order) within each send round; a slice only
+/// spans several send rounds under kDefer carry-over — and outputs its
+/// message count once everything arrived, or -1 if any inbox was out of
+/// order.
+class ChannelRepairProgram final : public NodeProgram {
+ public:
+  void on_send(NodeContext& ctx) override {
+    if (ctx.round() > 3) return;
+    const Value r = ctx.round();
+    for (NodeId u : ctx.neighbors()) {
+      ctx.send(u, {r, seq_++}, 2);
+      ctx.send(u, {r, seq_++}, 1);
+      ctx.send(u, {r, seq_++}, 2);
+    }
+    ctx.broadcast({r, seq_++}, 0);
+  }
+  void on_receive(NodeContext& ctx) override {
+    const auto in = ctx.inbox();
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      ++received_;
+      if (i > 0 && !(key(in[i - 1]) < key(in[i]))) ordered_ = false;
+    }
+    if (received_ >= 12 * ctx.degree()) {  // 4 per neighbor per send round
+      ctx.set_output(ordered_ ? received_ : -1);
+      ctx.terminate();
+    }
+  }
+
+ private:
+  static std::tuple<NodeId, Value, int, Value> key(const Message& m) {
+    return {m.from, m.words.at(0), m.channel, m.words.at(1)};
+  }
+  Value seq_ = 0;
+  Value received_ = 0;
+  bool ordered_ = true;
+};
+
+TEST(EngineDeterminism, ChannelRepairOrderIsCanonicalAtEveryThreadCount) {
   Graph g = test_graph();
-  EngineOptions opt = recording_options(1);
-  opt.congest_policy = CongestPolicy::kDefer;
-  opt.congest_word_limit = 3;
-  auto factory = [](NodeId) { return std::make_unique<BurstEchoProgram>(); };
-  const RecordedRun serial =
-      record_run(g, {}, factory, opt, TraceDetail::kPayloads);
-  ASSERT_TRUE(serial.result.completed);
-  ASSERT_GT(serial.result.deferred_words, 0);
-  for (int threads : {2, 4, 8}) {
-    EngineOptions topt = opt;
-    topt.num_threads = threads;
-    const RecordedRun parallel =
-        record_run(g, {}, factory, topt, TraceDetail::kPayloads);
-    EXPECT_EQ(serial.transcript, parallel.transcript)
-        << "num_threads = " << threads;
+  auto factory = [](NodeId) {
+    return std::make_unique<ChannelRepairProgram>();
+  };
+  for (CongestPolicy policy : {CongestPolicy::kCount, CongestPolicy::kDefer}) {
+    EngineOptions opt = recording_options(1);
+    opt.congest_policy = policy;
+    opt.congest_word_limit = 4;  // 11 words per link per send round
+    SCOPED_TRACE(policy == CongestPolicy::kDefer ? "defer" : "count");
+    const RecordedRun serial =
+        record_run(g, {}, factory, opt, TraceDetail::kPayloads);
+    ASSERT_TRUE(serial.result.completed);
+    if (policy == CongestPolicy::kDefer) {
+      ASSERT_GT(serial.result.deferred_messages, 0);
+    }
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      EXPECT_EQ(serial.result.outputs[v], 12 * g.degree(v)) << "node " << v;
+    }
+    for (int threads : {2, 4, 8}) {
+      EngineOptions topt = opt;
+      topt.num_threads = threads;
+      const RecordedRun parallel =
+          record_run(g, {}, factory, topt, TraceDetail::kPayloads);
+      EXPECT_EQ(serial.transcript, parallel.transcript)
+          << "num_threads = " << threads;
+      expect_identical(serial.result, parallel.result);
+    }
   }
 }
 

@@ -675,8 +675,8 @@ TEST(Engine, PhaseProfilerStreamsPerRoundDeltas) {
 
 TEST(Engine, PhaseProfilerLinkAndTraceSpans) {
   // Under an enforcing policy the delivery span is attributed to link_ns
-  // (the serial reference path), and a payload-recording sink makes the
-  // trace span nonzero.
+  // (the link layer schedules the round), and a payload-recording sink
+  // makes the trace span nonzero.
   Rng rng(77);
   Graph g = make_gnp(128, 8.0 / 128, rng);
   EngineOptions opt;
