@@ -166,34 +166,41 @@ std::string trace_name(const std::optional<TraceDetail>& trace) {
   return "?";
 }
 
+/// Interleaved (1-thread, 4-thread) wall-time pairs behind the scaling
+/// gate. Single speedups on a shared host swing by 4x minutes apart; the
+/// median ratio of back-to-back pairs cancels most of that drift.
+constexpr int kGatePairs = 7;
+constexpr double kGateFloor = 1.3;
+
 /// Thread-scaling section: the canonical message-heavy case (Luby on
 /// GNP 32768) at 1/2/4/8 delivery threads, each row paired with a
 /// profiled twin run so the table shows where the round pipeline spends
-/// its time per thread count. Returns false only when `check` is set, the
-/// host has >= 4 cores, and 4 threads fail to beat serial by the CI floor
-/// (1.3x; the design target on a quiet >= 4-core host is 2.0x).
+/// its time per thread count. Then kGatePairs interleaved 1-thread /
+/// 4-thread pairs give the gate's statistic, the median pair ratio.
+/// Returns false only when `check` is set, the host has >= 4 cores, and
+/// that median misses the CI floor (1.3x; the design target on a quiet
+/// >= 4-core host is 2.0x).
 bool run_scaling(JsonRecorder& out, bool check) {
   banner("ENGINE / THREAD SCALING",
          "luby/gnp-32768 at 1/2/4/8 delivery threads; per-phase ms from a "
-         "profiled twin run (wall_ms reps stay profiler-free).");
+         "profiled twin run (wall_ms reps stay profiler-free). The gate "
+         "takes the median of interleaved 1-thread/4-thread pair ratios.");
   Table table({"threads", "wall_ms", "speedup", "send_ms", "scatter_ms",
-               "link_ms", "trace_ms", "receive_ms", "mutate_ms"});
+               "trace_ms", "receive_ms", "mutate_ms"});
   table.print_header();
   auto luby = [] { return luby_mis_algorithm(42); };
   Rng rng(1000 + 32768);
   Graph g = make_gnp(32768, 8.0 / 32768, rng);
   randomize_ids(g, rng);
+  const auto hw = static_cast<int>(std::thread::hardware_concurrency());
   double serial_ms = 0;
-  double speedup4 = 0;
   for (int t : {1, 2, 4, 8}) {
     const CaseResult r = run_case(g, luby, 2, t, std::nullopt, true);
     if (t == 1) serial_ms = r.wall_ms;
     const double speedup = r.wall_ms > 0 ? serial_ms / r.wall_ms : 0;
-    if (t == 4) speedup4 = speedup;
     table.print_row({fmt(t), fmt(r.wall_ms), fmt(speedup),
                      fmt(phase_ms(r.phase.send_ns)),
                      fmt(phase_ms(r.phase.scatter_ns)),
-                     fmt(phase_ms(r.phase.link_ns)),
                      fmt(phase_ms(r.phase.trace_ns)),
                      fmt(phase_ms(r.phase.receive_ns)),
                      fmt(phase_ms(r.phase.mutate_ns))});
@@ -203,33 +210,58 @@ bool run_scaling(JsonRecorder& out, bool check) {
     out.field("workload", "luby");
     out.field("n", static_cast<std::int64_t>(32768));
     out.field("threads", t);
+    out.field("hw_threads", hw);
     out.field("wall_ms", r.wall_ms);
     out.field("speedup_vs_1t", speedup);
     out.field("send_ms", phase_ms(r.phase.send_ns));
     out.field("scatter_ms", phase_ms(r.phase.scatter_ns));
-    out.field("link_ms", phase_ms(r.phase.link_ns));
     out.field("trace_ms", phase_ms(r.phase.trace_ns));
     out.field("receive_ms", phase_ms(r.phase.receive_ns));
     out.field("mutate_ms", phase_ms(r.phase.mutate_ns));
   }
+
+  std::vector<double> ratios;
+  for (int p = 0; p < kGatePairs; ++p) {
+    const double one = run_case(g, luby, 1, 1).wall_ms;
+    const double four = run_case(g, luby, 1, 4).wall_ms;
+    ratios.push_back(four > 0 ? one / four : 0);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const double median = ratios[ratios.size() / 2];
+  std::printf("\n4-thread speedup over %d interleaved pairs: median %.2fx "
+              "(min %.2fx, max %.2fx)\n",
+              kGatePairs, median, ratios.front(), ratios.back());
+  out.begin_record();
+  out.field("section", "scaling_gate");
+  out.field("family", "gnp");
+  out.field("workload", "luby");
+  out.field("n", static_cast<std::int64_t>(32768));
+  out.field("threads", 4);
+  out.field("hw_threads", hw);
+  out.field("pairs", kGatePairs);
+  out.field("median_speedup", median);
+  out.field("min_speedup", ratios.front());
+  out.field("max_speedup", ratios.back());
+  out.field("floor", kGateFloor);
+
   if (!check) return true;
-  const unsigned hw = std::thread::hardware_concurrency();
   if (hw < 4) {
     std::printf(
-        "\nSCALING CHECK SKIPPED: hardware_concurrency() = %u < 4 — this "
+        "SCALING CHECK SKIPPED: hardware_concurrency() = %d < 4 — this "
         "host cannot demonstrate parallel speedup (determinism across "
         "thread counts is still asserted by the test suite).\n",
         hw);
     return true;
   }
-  if (speedup4 < 1.3) {
+  if (median < kGateFloor) {
     std::printf(
-        "\nSCALING CHECK FAILED: 4 threads gave %.2fx over serial on a "
-        "%u-core host (floor 1.3x).\n",
-        speedup4, hw);
+        "SCALING CHECK FAILED: median 4-thread pair speedup %.2fx on a "
+        "%d-core host (floor %.1fx).\n",
+        median, hw, kGateFloor);
     return false;
   }
-  std::printf("\nscaling check ok: 4 threads = %.2fx over serial\n", speedup4);
+  std::printf("scaling check ok: median 4-thread pair speedup %.2fx\n",
+              median);
   return true;
 }
 

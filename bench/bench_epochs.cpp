@@ -7,14 +7,12 @@
 // reports amortized rounds/messages per epoch for both trajectories plus
 // the mean prediction error η the warm starts incurred.
 //
-// Three hard checks (nonzero exit on failure):
+// Two hard checks (nonzero exit on failure):
 //   * at the lowest churn rate every warm trajectory beats its
 //     from-scratch control on amortized rounds — the paper's pitch;
 //   * mean η is monotone non-decreasing in the churn rate — more churn,
-//     staler predictions (the knob behaves);
-//   * the epoch-report checksum is identical between batch execution
-//     (workers = 2) and the inline serial path (workers = 0) — the
-//     determinism contract across the two execution modes.
+//     staler predictions (the knob behaves).
+// Byte identity across worker counts is pinned by tests/epoch_test.cpp.
 // A final pass measures the content-addressed result cache: the same
 // stream re-run on a warm harness must be served entirely from the cache,
 // and the cold/hot wall-clock ratio is recorded. `--json` writes
@@ -85,11 +83,9 @@ bool run_all(bool json) {
          "Warm-starting a template from its own previous output across "
          "churn epochs (Section 1.1's serving scenario). `warm_r` vs "
          "`ctrl_r` are amortized rounds per epoch with and without the "
-         "warm start; at low churn warm must win (hard check). `match` "
-         "asserts the batch (workers 2) and inline serial (workers 0) "
-         "executions produce identical epoch reports.");
+         "warm start; at low churn warm must win (hard check).");
   Table table({"problem", "churn", "eta", "warm_r", "ctrl_r", "warm_msg",
-               "ctrl_msg", "match"},
+               "ctrl_msg"},
               10);
   table.print_header();
   JsonRecorder out(json, "BENCH_epochs.json");
@@ -99,13 +95,8 @@ bool run_all(bool json) {
   for (int p = 0; p < 3; ++p) {
     double low_warm = 0, low_ctrl = 0, prev_eta = -1;
     for (double rate : kRates) {
-      EpochHarness batch(problem_of(p), config_of(rate, 2));
-      const EpochReport report = batch.run();
-      EpochHarness serial(problem_of(p), config_of(rate, 0));
-      const EpochReport serial_report = serial.run();
-      const std::uint64_t sum = epoch_report_checksum(report);
-      const bool match = sum == epoch_report_checksum(serial_report);
-      ok = ok && match;
+      EpochHarness harness(problem_of(p), config_of(rate, 2));
+      const EpochReport report = harness.run();
 
       const double eta = mean_eta(report);
       const double warm_r = amortized_warm_rounds(report);
@@ -124,8 +115,7 @@ bool run_all(bool json) {
 
       table.print_row({names[p], fmt(rate), fmt(eta), fmt(warm_r),
                        fmt(ctrl_r), fmt(amortized_warm_messages(report)),
-                       fmt(amortized_control_messages(report)),
-                       match ? "yes" : "NO"});
+                       fmt(amortized_control_messages(report))});
       out.begin_record();
       out.field("problem", names[p]);
       // Which PredictionProviders fed the two trajectories: the control
@@ -141,8 +131,7 @@ bool run_all(bool json) {
       out.field("amortized_warm_messages", amortized_warm_messages(report));
       out.field("amortized_control_messages",
                 amortized_control_messages(report));
-      out.field("checksum", hex64(sum));
-      out.field("serial_matches_batch", static_cast<std::int64_t>(match));
+      out.field("checksum", hex64(epoch_report_checksum(report)));
     }
     if (!(low_warm < low_ctrl)) {
       std::fprintf(stderr,
@@ -197,7 +186,7 @@ void BM_EpochStream(benchmark::State& state) {
   }
   state.counters["epochs"] = 8;
 }
-BENCHMARK(BM_EpochStream)->Arg(0)->Arg(2);
+BENCHMARK(BM_EpochStream)->Arg(1)->Arg(2);
 
 }  // namespace
 

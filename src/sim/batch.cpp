@@ -224,15 +224,13 @@ std::uint64_t result_checksum(const RunResult& result) {
   f.mix(result.congest_violations);
   f.mix(result.deferred_messages);
   f.mix(result.deferred_words);
-  f.mix(result.truncated_messages);
-  f.mix(result.truncated_words);
+  // Two literal zeros where the removed truncated_messages/truncated_words
+  // counters (always 0 under kCount and kDefer) were mixed: they keep every
+  // checksum recorded before the removal valid.
+  f.mix(std::int64_t{0});
+  f.mix(std::int64_t{0});
   f.mix(result.link_backlog_peak_words);
   f.mix(result.rounds_with_backlog);
-  for (int a : result.active_per_round) f.mix(a);
-  for (const auto& terms : result.terminations_per_round) {
-    f.mix(static_cast<std::uint64_t>(terms.size()));
-    for (NodeId v : terms) f.mix(static_cast<std::uint64_t>(v));
-  }
   return f.h;
 }
 

@@ -217,7 +217,7 @@ std::int64_t NodeContext::link_backlog(NodeId u) const {
 }
 
 int NodeContext::link_budget() const {
-  if (engine_->options_.congest_policy != CongestPolicy::kDefer) return 0;
+  if (!engine_->link_) return 0;
   return engine_->options_.congest_word_limit;
 }
 
@@ -397,9 +397,8 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
       pool_ = owned_pool_.get();
     }
   }
-  if (options_.congest_policy != CongestPolicy::kCount) {
-    link_ = std::make_unique<detail::LinkLayer>(g, options_.congest_policy,
-                                                options_.congest_word_limit);
+  if (options_.congest_policy == CongestPolicy::kDefer) {
+    link_ = std::make_unique<detail::LinkLayer>(g, options_.congest_word_limit);
   }
   // Message-reduction compilation (sim/compile.hpp). The knobs are cached
   // as flat flags for the per-send / per-record checks; the per-directed-
@@ -413,22 +412,12 @@ Engine::Engine(const Graph& g, const Predictions& predictions,
     s_.cache_words.assign(total_adj * detail::SendRecord::kInlineCap, 0);
     s_.cache_long.clear();  // lazily sized on the first long payload
   }
-  // Trace spine: the classic record_* options are a private rounds-level
-  // sink; a user sink rides alongside. No sinks => no virtual calls.
-  if (options_.record_active_per_round || options_.record_terminations) {
-    record_sink_ = std::make_unique<detail::RunRecordSink>(
-        options_.record_active_per_round, options_.record_terminations);
-    sinks_.push_back(record_sink_.get());
-  }
-  if (options_.trace_sink != nullptr) {
-    sinks_.push_back(options_.trace_sink);
-    // detail() is a stable property of the sink; cache the answer so the
-    // delivery path never queries it per message.
-    if (options_.trace_sink->detail() >= TraceDetail::kMessages) {
-      message_sinks_.push_back(options_.trace_sink);
-    }
-    trace_messages_ = !message_sinks_.empty();
-  }
+  // Trace spine: no sink => no virtual calls. detail() is a stable
+  // property of the sink; cache the answer so the delivery path never
+  // queries it per message.
+  sink_ = options_.trace_sink;
+  trace_messages_ =
+      sink_ != nullptr && sink_->detail() >= TraceDetail::kMessages;
 }
 
 Engine::~Engine() = default;
@@ -491,7 +480,7 @@ void Engine::deliver_round_messages() {
   //   D (over receiver shards) assign each owned receiver's slice inside
   //     this shard's region and scatter the owned records into it.
   //
-  // Under an enforcing policy pass B skips the inbox counting, and the
+  // Under kDefer pass B skips the inbox counting, and the
   // records go to the serial link layer instead of passes C and D.
   //
   // Why the result is a function of the round's sends alone, not of S: the
@@ -604,7 +593,7 @@ void Engine::deliver_round_messages() {
         }
         acct.charge(r.len, r.channel, congest_limit,
                     (r.flags & detail::SendRecord::kSuppressed) != 0);
-        // Under an enforcing policy the link layer decides what arrives.
+        // Under kDefer the link layer decides what arrives.
         if (enforce || !s_.node_active[r.to]) continue;
         if (s_.recv_count[r.to]++ == 0) {
           rs.touched.push_back(r.to);
@@ -674,7 +663,7 @@ void Engine::deliver_round_messages() {
         auto& ref = s_.inbox_ref[r.to];
         s_.inbox_flat[ref.begin + ref.count++] =
             Message{r.from, static_cast<int>(r.channel),
-                    WordSpan(r.payload(arena), r.len), false,
+                    WordSpan(r.payload(arena), r.len),
                     (r.flags & detail::SendRecord::kSuppressed) != 0};
       }
     }
@@ -696,13 +685,13 @@ void Engine::deliver_enforced() {
     for (const auto& r : sh.sends) {
       if (r.flags & detail::SendRecord::kSuppressed) {
         // A suppressed message never crosses the wire, so it cannot be
-        // deferred, truncated, or charged against a link budget; it is
+        // deferred or charged against a link budget; it is
         // synthesized at the receiver in its send round (the free lunch —
         // compile_test pins the no-double-count property).
         if (s_.node_active[r.to]) link.deliver_suppressed(r, r.payload(arena));
         continue;
       }
-      link.ingest(r, r.payload(arena), s_.node_active.data());
+      link.ingest(r, r.payload(arena));
     }
   }
   link.finish_round(s_.node_active.data());
@@ -728,7 +717,7 @@ void Engine::deliver_enforced() {
     auto& ref = s_.inbox_ref[d.to];
     s_.inbox_flat[ref.begin + ref.count++] =
         Message{d.from, static_cast<int>(d.channel), WordSpan(d.words, d.len),
-                d.truncated, d.suppressed};
+                d.suppressed};
   }
 }
 
@@ -801,9 +790,8 @@ void Engine::trace_deliveries() {
     const auto& ref = s_.inbox_ref[to];
     for (std::uint32_t i = 0; i < ref.count; ++i) {
       const Message& m = s_.inbox_flat[ref.begin + i];
-      const TraceMessage tm{round_, m.from, to, m.channel, m.words,
-                            m.truncated, m.suppressed};
-      for (TraceSink* sink : message_sinks_) sink->on_message(tm);
+      sink_->on_message({round_, m.from, to, m.channel, m.words,
+                         m.suppressed});
     }
   }
 }
@@ -877,12 +865,10 @@ void Engine::process_terminations(const std::vector<NodeId>& recv,
     }
   }
   active_count_ -= static_cast<NodeId>(s_.newly_terminated.size());
-  if (!sinks_.empty()) {
+  if (sink_) {
     for (const NodeId v : s_.newly_terminated) {
       materialize_edge_outputs(v, term_edge_outputs_);
-      for (TraceSink* sink : sinks_) {
-        sink->on_termination(round_, v, s_.node_output[v], term_edge_outputs_);
-      }
+      sink_->on_termination(round_, v, s_.node_output[v], term_edge_outputs_);
     }
   }
   bool any_idle = false;
@@ -982,7 +968,7 @@ RunResult Engine::run() {
   RunResult result;
   result.termination_round.assign(static_cast<std::size_t>(n), -1);
 
-  for (TraceSink* sink : sinks_) sink->on_run_begin(n, options_);
+  if (sink_) sink_->on_run_begin(n, options_);
   // Phase profiler (EngineOptions::profile_phases): one clock read per
   // stage boundary, so adjacent spans share a timestamp and the per-round
   // sum never exceeds the wall time between the boundaries. lap() costs
@@ -1007,7 +993,7 @@ RunResult Engine::run() {
       break;
     }
     ++round_;
-    for (TraceSink* sink : sinks_) sink->on_round_begin(round_, active_count_);
+    if (sink_) sink_->on_round_begin(round_, active_count_);
     PhaseProfile rp;
     lap();
     send_phase();
@@ -1025,7 +1011,7 @@ RunResult Engine::run() {
     rp.mutate_ns = lap();
     if (prof) {
       result.phase_ns.accumulate(rp);
-      for (TraceSink* sink : sinks_) sink->on_round_profile(round_, rp);
+      if (sink_) sink_->on_round_profile(round_, rp);
     }
   }
 
@@ -1038,14 +1024,9 @@ RunResult Engine::run() {
   }
   acct_.fold_into(result);
   if (link_) link_->export_metrics(result);
-  if (record_sink_) {
-    result.active_per_round = std::move(record_sink_->active_per_round);
-    result.terminations_per_round =
-        std::move(record_sink_->terminations_per_round);
-  }
   result.peak_arena_bytes =
       static_cast<std::int64_t>(peak_arena_words_ * sizeof(Value));
-  for (TraceSink* sink : sinks_) sink->on_run_end(result);
+  if (sink_) sink_->on_run_end(result);
   result.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - t0)
                        .count();

@@ -44,11 +44,6 @@ enum class CongestPolicy {
   /// Enforce by store-and-forward: a link transmits at most B words per
   /// round; excess queues FIFO per link and arrives in a later round.
   kDefer,
-  /// Enforce by loss: words beyond the link's remaining round budget are
-  /// dropped and the delivered message is marked `Message::truncated`.
-  kTruncate,
-  /// Enforce by contract: an over-budget send throws (DGAP_REQUIRE).
-  kFail,
 };
 
 /// A message delivered within a round. `channel` is a multiplexing tag used
@@ -57,8 +52,6 @@ enum class CongestPolicy {
 /// message, and its width is charged as one extra word whenever nonzero.
 /// `words` is a borrowed view into the engine's round arena — valid only
 /// during this round's receive phase; copy words out to keep them.
-/// `truncated` is set only under CongestPolicy::kTruncate, on messages
-/// that lost words to the link budget.
 /// `suppressed` is set only under message-reduction compilation
 /// (EngineOptions::compile): the payload never crossed the wire — the
 /// receiver reconstructs it from silence (a declared default or its
@@ -69,7 +62,6 @@ struct Message {
   NodeId from = kNoNode;  // sender's internal index
   int channel = 0;
   WordSpan words;
-  bool truncated = false;
   bool suppressed = false;
 };
 
@@ -92,8 +84,8 @@ inline int message_width(std::size_t payload_words, int channel) {
 /// round. Every counter is an order-independent reduction (sums, plus one
 /// max), so the merged totals are *exactly* — not approximately — the same
 /// for any num_threads; folded into the RunResult once per run. The link
-/// layer charges nothing: an enforcing policy decides when and how much
-/// arrives, never what the sender paid.
+/// layer charges nothing: kDefer decides when a message arrives, never
+/// what the sender paid.
 ///
 /// `messages`/`words` are the *nominal* totals — what the uncompiled
 /// algorithm pays, suppressed traffic included — so compiling a run never
@@ -391,7 +383,7 @@ class NodeContext {
   /// under CongestPolicy::kDefer.
   std::int64_t link_backlog(NodeId u) const;
   /// The per-link word budget this run defers excess traffic against, or 0
-  /// when delivery is same-round (count / truncate / fail policies).
+  /// when delivery is same-round (the count policy).
   /// Budget-aware schedules stretch their stages by this (it is global and
   /// round-invariant, so schedules stay pure functions of the instance).
   int link_budget() const;
@@ -464,20 +456,13 @@ struct EngineOptions {
   int max_rounds = 1'000'000;
   /// If > 0, messages wider than this many words are counted as CONGEST
   /// violations (the run still proceeds; benches report the counter).
-  /// Under an enforcing congest_policy this is the hard per-round word
+  /// Under congest_policy kDefer this is the hard per-round word
   /// budget of every directed edge and must be positive.
   int congest_word_limit = 0;
   /// What over-budget traffic does. The default (kCount) is the audit-only
   /// path, bit-identical to the engine before link-layer enforcement
-  /// existed; any other value requires congest_word_limit > 0.
+  /// existed; kDefer requires congest_word_limit > 0.
   CongestPolicy congest_policy = CongestPolicy::kCount;
-  /// Record the number of active nodes at the start of every round.
-  /// (Implemented on the trace spine; RunResult::active_per_round.)
-  bool record_active_per_round = false;
-  /// Record which nodes terminated in each round (RunResult::
-  /// terminations_per_round) — a lightweight run transcript.
-  /// (Implemented on the trace spine.)
-  bool record_terminations = false;
   /// Observer of the run's event stream (round begins, deliveries,
   /// terminations) — see sim/trace.hpp. Borrowed; must outlive run().
   /// Null (the default) installs no sink: the engine then makes no
@@ -528,19 +513,12 @@ struct RunResult {
   /// they had to carry into later rounds.
   std::int64_t deferred_messages = 0;
   std::int64_t deferred_words = 0;
-  /// Messages that lost words under kTruncate, and the words dropped.
-  std::int64_t truncated_messages = 0;
-  std::int64_t truncated_words = 0;
   /// High-water mark of any single link's carry-over queue, in words.
   std::int64_t link_backlog_peak_words = 0;
   /// Rounds that began with words still in flight — the gap between the
   /// run's effective round count (`rounds`) and the algorithm's nominal
   /// schedule is spent in these rounds.
   std::int64_t rounds_with_backlog = 0;
-  std::vector<int> active_per_round;     // if requested
-  /// terminations_per_round[r-1] = nodes that terminated in round r
-  /// (only filled when EngineOptions::record_terminations is set).
-  std::vector<std::vector<NodeId>> terminations_per_round;
   /// Wall-clock duration of run(). Excluded from determinism comparisons —
   /// every field above is reproducible from (graph, factory, options).
   double wall_ms = 0;
@@ -672,20 +650,17 @@ class Engine {
   EngineScratch& s_;
   std::unique_ptr<ThreadPool> owned_pool_;  // null when shared
   ThreadPool* pool_ = nullptr;              // workers when num_threads > 1
-  // Bandwidth scheduler; only constructed for enforcing policies, so the
-  // default (kCount) data plane is untouched by the link layer.
+  // Bandwidth scheduler; only constructed under kDefer, so the default
+  // (kCount) data plane is untouched by the link layer.
   std::unique_ptr<detail::LinkLayer> link_;
   std::size_t peak_arena_words_ = 0;
 
-  // --- trace spine (sim/trace.hpp). sinks_ holds the user's sink and/or
-  // the internal RunRecordSink behind the record_* options; empty when
-  // recording is off, and then the round loop tests one integer and makes
-  // no virtual calls. trace_messages_ caches "some sink wants per-message
-  // events" so the delivery path stays free of them otherwise.
-  std::unique_ptr<detail::RunRecordSink> record_sink_;
-  std::vector<TraceSink*> sinks_;
-  std::vector<TraceSink*> message_sinks_;  // sinks wanting per-message events
-  bool trace_messages_ = false;            // = !message_sinks_.empty()
+  // --- trace spine (sim/trace.hpp). sink_ is EngineOptions::trace_sink;
+  // when it is null the round loop tests one pointer and makes no virtual
+  // calls. trace_messages_ caches "the sink wants per-message events" so
+  // the delivery path stays free of them otherwise.
+  TraceSink* sink_ = nullptr;
+  bool trace_messages_ = false;
 };
 
 /// The shared immutable empty Predictions instance used by every run

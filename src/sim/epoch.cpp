@@ -4,7 +4,7 @@
 
 #include "common/require.hpp"
 #include "predict/provider.hpp"
-#include "sim/transcript.hpp"
+#include "sim/result_cache.hpp"
 
 namespace dgap {
 
@@ -67,29 +67,23 @@ std::uint64_t epoch_report_checksum(const EpochReport& report) {
 }
 
 EpochHarness::EpochHarness(EpochProblem problem, EpochConfig config)
-    : problem_(std::move(problem)), config_(std::move(config)) {
+    : problem_(std::move(problem)),
+      config_(std::move(config)),
+      runner_(BatchOptions{config_.workers}) {
   DGAP_REQUIRE(config_.epochs >= 1, "an epoch stream needs >= 1 epochs");
   DGAP_REQUIRE(problem_.factory && problem_.scratch != nullptr &&
                    problem_.eta && problem_.check,
                "epoch problem package is missing a required member");
-  DGAP_REQUIRE(config_.workers >= 0, "workers must be >= 0");
-  DGAP_REQUIRE(config_.workers == 0 || config_.options.num_threads == 1,
-               "batch execution forces single-threaded engines; use "
-               "workers == 0 to honor options.num_threads");
+  DGAP_REQUIRE(config_.options.num_threads == 1,
+               "the harness runs its engines single-threaded on a "
+               "BatchRunner; parallelism is config.workers");
   DGAP_REQUIRE(config_.options.trace_sink == nullptr,
                "the harness installs its own transcript writers");
-  if (config_.workers >= 1) {
-    runner_ = std::make_unique<BatchRunner>(BatchOptions{config_.workers});
-  } else {
-    own_cache_ = std::make_unique<ResultCache>();
-  }
 }
 
 EpochHarness::~EpochHarness() = default;
 
-ResultCache& EpochHarness::result_cache() {
-  return runner_ ? runner_->result_cache() : *own_cache_;
-}
+ResultCache& EpochHarness::result_cache() { return runner_.result_cache(); }
 
 EpochReport EpochHarness::run() {
   const std::string algorithm_id =
@@ -106,47 +100,6 @@ EpochReport EpochHarness::run() {
   // axis (workers, repeats) addressing the same cache slots.
   constexpr std::uint64_t kProviderSeed = 0;
 
-  // Runs one provider-sourced job on the inline path: probe the cache by
-  // the provider's slot digest, and only on a miss materialize the
-  // prediction and execute (honoring options.num_threads, reusing the
-  // harness scratch), then fill.
-  auto run_inline = [&](const Graph& g, const PredictionProvider& provider,
-                        bool capture, const std::string& label,
-                        std::optional<GraphSpec> spec,
-                        std::uint64_t instance_digest, RunResult& out,
-                        std::vector<std::uint8_t>& transcript_out,
-                        bool& hit_out) {
-    const bool cacheable = !algorithm_id.empty();
-    std::uint64_t key = 0;
-    if (cacheable) {
-      key = result_cache_key(
-          instance_digest, algorithm_id,
-          provider_slot_digest(provider, problem_.kind, kProviderSeed),
-          options_digest(config_.options), capture, config_.detail);
-      if (auto entry = own_cache_->get(key)) {
-        out = entry->result;
-        transcript_out = entry->transcript;
-        hit_out = true;
-        return;
-      }
-    }
-    const Predictions pred =
-        provide_with_seed(provider, g, problem_.kind, kProviderSeed);
-    EngineOptions options = config_.options;
-    std::unique_ptr<TranscriptWriter> writer;
-    if (capture) {
-      writer = std::make_unique<TranscriptWriter>(config_.detail, label,
-                                                  std::move(spec));
-      options.trace_sink = writer.get();
-    }
-    Engine engine(g, pred, problem_.factory(), options,
-                  /*shared_pool=*/nullptr, &scratch_);
-    out = engine.run();
-    if (writer) transcript_out = writer->take_bytes();
-    hit_out = false;
-    if (cacheable) own_cache_->put(key, out, transcript_out);
-  };
-
   for (int k = 0; k < config_.epochs; ++k) {
     if (k > 0) {
       const EditBatch batch = config_.churn.generate(current, k);
@@ -162,8 +115,6 @@ EpochReport EpochHarness::run() {
                    : warm_start_provider(prev_graph, prev_outputs);
     const Predictions warm_pred = provide_with_seed(
         *warm_provider, current, problem_.kind, kProviderSeed);
-    const std::string label =
-        config_.label + "_e" + std::to_string(k);
 
     EpochRecord record;
     record.epoch = k;
@@ -171,65 +122,38 @@ EpochReport EpochHarness::run() {
     record.edges = current.num_edges();
     record.eta = problem_.eta(current, warm_pred);
 
-    if (runner_) {
-      BatchJob warm_job;
+    const auto job_of = [&](ProviderPtr provider) {
+      BatchJob job;
       if (spec_built) {
-        warm_job.spec = config_.base;
-        warm_job.use_spec = true;
+        job.spec = config_.base;
+        job.use_spec = true;
       } else {
-        warm_job.graph = &current;
+        job.graph = &current;
       }
-      warm_job.provider = warm_provider;
-      warm_job.provider_kind = problem_.kind;
-      warm_job.provider_seed = kProviderSeed;
-      warm_job.factory = problem_.factory();
-      warm_job.options = config_.options;
-      warm_job.capture_transcript = config_.capture_transcripts;
-      warm_job.transcript_detail = config_.detail;
-      warm_job.transcript_label = label;
-      warm_job.algorithm_id = algorithm_id;
-      runner_->add(std::move(warm_job));
-      if (config_.run_control) {
-        BatchJob control_job;
-        if (spec_built) {
-          control_job.spec = config_.base;
-          control_job.use_spec = true;
-        } else {
-          control_job.graph = &current;
-        }
-        control_job.provider = problem_.scratch;
-        control_job.provider_kind = problem_.kind;
-        control_job.provider_seed = kProviderSeed;
-        control_job.factory = problem_.factory();
-        control_job.options = config_.options;
-        control_job.algorithm_id = algorithm_id;
-        runner_->add(std::move(control_job));
-      }
-      std::vector<BatchResult> results = runner_->run_all();
-      DGAP_ASSERT(results[0].ok, "warm epoch run failed: " + results[0].error);
-      record.warm = std::move(results[0].result);
-      record.warm_transcript = std::move(results[0].transcript);
-      record.warm_cache_hit = results[0].cache_hit;
-      if (config_.run_control) {
-        DGAP_ASSERT(results[1].ok,
-                    "control epoch run failed: " + results[1].error);
-        record.control = std::move(results[1].result);
-        record.control_cache_hit = results[1].cache_hit;
-      }
-    } else {
-      const std::uint64_t instance = spec_built ? spec_digest(config_.base)
-                                                : graph_digest(current);
-      run_inline(current, *warm_provider, config_.capture_transcripts, label,
-                 spec_built ? std::optional<GraphSpec>(config_.base)
-                            : std::nullopt,
-                 instance, record.warm, record.warm_transcript,
-                 record.warm_cache_hit);
-      if (config_.run_control) {
-        std::vector<std::uint8_t> unused;
-        run_inline(current, *problem_.scratch, /*capture=*/false, label,
-                   std::nullopt, instance, record.control, unused,
-                   record.control_cache_hit);
-      }
+      job.provider = std::move(provider);
+      job.provider_kind = problem_.kind;
+      job.provider_seed = kProviderSeed;
+      job.factory = problem_.factory();
+      job.options = config_.options;
+      job.algorithm_id = algorithm_id;
+      return job;
+    };
+    BatchJob warm_job = job_of(warm_provider);
+    warm_job.capture_transcript = config_.capture_transcripts;
+    warm_job.transcript_detail = config_.detail;
+    warm_job.transcript_label = config_.label + "_e" + std::to_string(k);
+    runner_.add(std::move(warm_job));
+    if (config_.run_control) runner_.add(job_of(problem_.scratch));
+    std::vector<BatchResult> results = runner_.run_all();
+    DGAP_ASSERT(results[0].ok, "warm epoch run failed: " + results[0].error);
+    record.warm = std::move(results[0].result);
+    record.warm_transcript = std::move(results[0].transcript);
+    record.warm_cache_hit = results[0].cache_hit;
+    if (config_.run_control) {
+      DGAP_ASSERT(results[1].ok,
+                  "control epoch run failed: " + results[1].error);
+      record.control = std::move(results[1].result);
+      record.control_cache_hit = results[1].cache_hit;
     }
 
     const std::string warm_error = problem_.check(current, record.warm);

@@ -21,14 +21,14 @@
 // digest — not a hash of the materialized prediction — content-addresses
 // the run, so a cache HIT skips prediction materialization entirely.
 //
-// Execution is deterministic and cacheable. workers >= 1 schedules each
-// epoch's jobs on a BatchRunner (engines single-threaded, per the batch
-// contract); workers == 0 runs engines inline honoring
-// options.num_threads. Either way the per-epoch transcripts are
-// byte-identical — tests/epoch_test.cpp pins bytes across both axes — and
-// every job is content-addressed through a ResultCache, so repeated
-// configurations (and the control runs of a zero-churn stream) are served
-// without executing. See docs/MODEL.md, "Epochs & warm-starting".
+// Execution is deterministic and cacheable. Each epoch's jobs run on the
+// harness's BatchRunner (engines single-threaded, per the batch contract;
+// one worker is the plain serial loop on the calling thread). The
+// per-epoch transcripts are byte-identical for every worker count —
+// tests/epoch_test.cpp pins the bytes — and every job is content-addressed
+// through the runner's ResultCache, so repeated configurations (and the
+// control runs of a zero-churn stream) are served without executing. See
+// docs/MODEL.md, "Epochs & warm-starting".
 #pragma once
 
 #include <cstdint>
@@ -71,10 +71,10 @@ struct EpochConfig {
   GraphSpec base;   // the epoch-0 instance
   ChurnSpec churn;  // edit-batch generator for epochs 1..
   int epochs = 6;
-  /// Engine options for every run. num_threads is honored only when
-  /// workers == 0 (the batch runner forces single-threaded engines).
+  /// Engine options for every run. num_threads must stay 1: the batch
+  /// runner runs single-threaded engines.
   EngineOptions options;
-  /// Batch worker slots; 0 = run engines inline on the calling thread.
+  /// Batch worker slots (>= 1); 1 runs every job on the calling thread.
   int workers = 1;
   /// Record each epoch's warm run as a binary transcript
   /// (EpochRecord::warm_transcript; encode_epoch_sequence() frames them).
@@ -117,7 +117,7 @@ double amortized_control_messages(const EpochReport& report);
 
 /// Checksum over every deterministic per-epoch quantity (both runs'
 /// result checksums, η, instance shape) — the cheap equality witness the
-/// bench and CI diff across serial/batch/cached executions.
+/// bench and CI diff across worker counts and cached executions.
 std::uint64_t epoch_report_checksum(const EpochReport& report);
 
 class EpochHarness {
@@ -138,9 +138,7 @@ class EpochHarness {
  private:
   EpochProblem problem_;
   EpochConfig config_;
-  std::unique_ptr<BatchRunner> runner_;   // workers >= 1
-  std::unique_ptr<ResultCache> own_cache_;  // workers == 0
-  EngineScratch scratch_;                 // inline path reuse
+  BatchRunner runner_;
 };
 
 // ---- Epoch-sequence container ---------------------------------------------

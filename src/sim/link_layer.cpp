@@ -1,28 +1,19 @@
 #include "sim/link_layer.hpp"
 
 #include <algorithm>
-#include <string>
 
 #include "common/require.hpp"
 
 namespace dgap::detail {
 
-LinkLayer::LinkLayer(const Graph& g, CongestPolicy policy, int budget_words)
-    : graph_(g),
-      policy_(policy),
-      budget_(static_cast<std::uint32_t>(budget_words)) {
-  DGAP_REQUIRE(policy != CongestPolicy::kCount,
-               "the count policy needs no link layer");
+LinkLayer::LinkLayer(const Graph& g, int budget_words)
+    : graph_(g), budget_(static_cast<std::uint32_t>(budget_words)) {
   DGAP_REQUIRE(budget_words > 0,
-               "enforcing congest policies need a positive word budget "
+               "the defer congest policy needs a positive word budget "
                "(EngineOptions::congest_word_limit)");
   const std::size_t total_links = g.offsets().back();
-  if (policy_ == CongestPolicy::kDefer) {
-    links_.resize(total_links);
-    queued_flag_.assign(total_links, 0);
-  } else {
-    used_.assign(total_links, 0);
-  }
+  links_.resize(total_links);
+  queued_flag_.assign(total_links, 0);
 }
 
 std::size_t LinkLayer::link_index(NodeId from, NodeId to) const {
@@ -35,100 +26,46 @@ void LinkLayer::begin_round(int round) {
   round_ = round;
   deliveries_.clear();
   delivered_store_.clear();
-  for (const std::size_t link : used_touched_) used_[link] = 0;
-  used_touched_.clear();
   // Carry-over in flight at the start of a round marks it as a stretch
   // round — the effective-vs-nominal gap reported by rounds_with_backlog.
   if (total_backlog_ > 0) ++rounds_with_backlog_;
 }
 
-void LinkLayer::deliver(NodeId to, NodeId from, std::int32_t channel,
-                        const Value* words, std::uint32_t len,
-                        bool truncated) {
-  deliveries_.push_back({to, from, channel, len, words, truncated});
-}
-
 void LinkLayer::deliver_suppressed(const SendRecord& r, const Value* words) {
   // Synthesized delivery: no link budget is consumed, no queue entry is
-  // created, nothing can be deferred or truncated. Arrives in its send
-  // round, before any link-transmitted traffic of the round (the engine
-  // ingests sends in canonical order, so these keep ascending-sender order
-  // among themselves). The payload pointer stays valid through the receive
-  // phase (it points into the frozen shard records or arenas).
+  // created, nothing can be deferred. Arrives in its send round, before
+  // any link-transmitted traffic of the round (the engine ingests sends in
+  // canonical order, so these keep ascending-sender order among
+  // themselves). The payload pointer stays valid through the receive phase
+  // (it points into the frozen shard records or arenas).
   deliveries_.push_back(
-      {r.to, r.from, r.channel, r.len, words, false, /*suppressed=*/true});
+      {r.to, r.from, r.channel, r.len, words, /*suppressed=*/true});
 }
 
-void LinkLayer::ingest(const SendRecord& r, const Value* words,
-                       const std::uint8_t* node_active) {
+void LinkLayer::ingest(const SendRecord& r, const Value* words) {
+  // Queue on the link; transmission happens in finish_round so that
+  // carried-over traffic always precedes this round's sends (FIFO).
   const std::size_t link = link_index(r.from, r.to);
   const auto width =
       static_cast<std::uint32_t>(message_width(r.len, r.channel));
-  switch (policy_) {
-    case CongestPolicy::kDefer: {
-      // Queue on the link; transmission happens in finish_round so that
-      // carried-over traffic always precedes this round's sends (FIFO).
-      auto& link_state = links_[link];
-      Pending p;
-      p.to = r.to;
-      p.from = r.from;
-      p.channel = r.channel;
-      p.words_remaining = width;
-      p.sent_round = round_;
-      p.payload.assign(words, words + r.len);
-      link_state.q.push_back(std::move(p));
-      link_state.backlog += width;
-      total_backlog_ += width;
-      if (!queued_flag_[link]) {
-        queued_flag_[link] = 1;
-        candidates_.push_back(link);
-      }
-      break;
-    }
-    case CongestPolicy::kTruncate: {
-      // The message arrives this round regardless; only the words beyond
-      // the link's remaining budget are lost. A nonzero channel tag is
-      // transmitted first (the receiver needs it to route the message).
-      used_touched_.push_back(link);
-      const std::uint32_t avail = budget_ - used_[link];
-      const std::uint32_t consumed = std::min(width, avail);
-      used_[link] += consumed;
-      std::uint32_t payload_len = consumed;
-      if (r.channel != 0) payload_len = consumed > 0 ? consumed - 1 : 0;
-      const bool truncated = consumed < width;
-      if (truncated) {
-        ++truncated_messages_;
-        truncated_words_ += width - consumed;
-      }
-      if (node_active[r.to]) {
-        deliver(r.to, r.from, r.channel, words, payload_len, truncated);
-      }
-      break;
-    }
-    case CongestPolicy::kFail: {
-      used_touched_.push_back(link);
-      DGAP_REQUIRE(
-          used_[link] + width <= budget_,
-          "CONGEST budget exceeded: node id " +
-              std::to_string(graph_.id(r.from)) + " sent " +
-              std::to_string(width) + " word(s) to neighbor id " +
-              std::to_string(graph_.id(r.to)) + " in round " +
-              std::to_string(round_) + " with " +
-              std::to_string(used_[link]) + " already on the link (budget " +
-              std::to_string(budget_) + " words per link per round)");
-      used_[link] += width;
-      if (node_active[r.to]) {
-        deliver(r.to, r.from, r.channel, words, r.len, false);
-      }
-      break;
-    }
-    case CongestPolicy::kCount:
-      DGAP_ASSERT(false, "unreachable: kCount has no link layer");
+  auto& link_state = links_[link];
+  Pending p;
+  p.to = r.to;
+  p.from = r.from;
+  p.channel = r.channel;
+  p.words_remaining = width;
+  p.sent_round = round_;
+  p.payload.assign(words, words + r.len);
+  link_state.q.push_back(std::move(p));
+  link_state.backlog += width;
+  total_backlog_ += width;
+  if (!queued_flag_[link]) {
+    queued_flag_[link] = 1;
+    candidates_.push_back(link);
   }
 }
 
 void LinkLayer::finish_round(const std::uint8_t* node_active) {
-  if (policy_ != CongestPolicy::kDefer) return;
   // Service links in ascending (sender, neighbor) order so the delivery
   // list is receiver-scatter-ready: per receiver, senders ascend and each
   // link's messages stay FIFO.
@@ -152,8 +89,8 @@ void LinkLayer::finish_round(const std::uint8_t* node_active) {
         const auto len = static_cast<std::uint32_t>(p.payload.size());
         delivered_store_.push_back(std::move(p.payload));
         // The heap buffer is stable even as delivered_store_ grows.
-        deliver(p.to, p.from, p.channel, delivered_store_.back().data(), len,
-                false);
+        deliveries_.push_back({p.to, p.from, p.channel, len,
+                               delivered_store_.back().data()});
       }
       ++ls.head;
     }
@@ -180,15 +117,12 @@ void LinkLayer::finish_round(const std::uint8_t* node_active) {
 }
 
 std::int64_t LinkLayer::backlog_words(NodeId from, NodeId to) const {
-  if (policy_ != CongestPolicy::kDefer) return 0;
   return links_[link_index(from, to)].backlog;
 }
 
 void LinkLayer::export_metrics(RunResult& m) const {
   m.deferred_messages = deferred_messages_;
   m.deferred_words = deferred_words_;
-  m.truncated_messages = truncated_messages_;
-  m.truncated_words = truncated_words_;
   m.link_backlog_peak_words = backlog_peak_;
   m.rounds_with_backlog = rounds_with_backlog_;
 }

@@ -5,20 +5,12 @@
 // The default engine path only *counts*: every message is charged to the
 // metrics and a width over `EngineOptions::congest_word_limit` increments
 // the violation counter, but delivery is unaffected
-// (CongestPolicy::kCount). The LinkLayer implements the enforcing
-// policies, where the limit becomes a hard per-round word budget B on
-// every directed edge:
-//
-//   * kDefer    — a link transmits at most B words per round; excess
-//                 traffic queues FIFO per link (store-and-forward) and a
-//                 message arrives in the round its last word is
-//                 transmitted, so a w-word message occupies the link for
-//                 ceil(w / B) rounds;
-//   * kTruncate — messages always arrive in their send round, but words
-//                 beyond the link's remaining round budget are dropped and
-//                 the message is marked `Message::truncated`;
-//   * kFail     — an over-budget send is a model violation: DGAP_REQUIRE
-//                 fails, identifying the offending link and round.
+// (CongestPolicy::kCount). The LinkLayer implements the enforcing policy
+// (CongestPolicy::kDefer), where the limit becomes a hard per-round word
+// budget B on every directed edge: a link transmits at most B words per
+// round; excess traffic queues FIFO per link (store-and-forward) and a
+// message arrives in the round its last word is transmitted, so a w-word
+// message occupies the link for ceil(w / B) rounds.
 //
 // Determinism by construction: fresh sends are ingested in the engine's
 // canonical (sender, channel, send order); links transmit in ascending
@@ -29,7 +21,7 @@
 // resend cache, and the message charge), then hands the records to this
 // layer in shard order; the layer's own scatter replaces passes C and D.
 // The layer charges nothing — every message was already charged in pass
-// B, so link budgets decide only when and how much arrives. The full
+// B, so link budgets decide only when a message arrives. The full
 // contract lives in docs/MODEL.md, "CONGEST enforcement semantics";
 // tests/engine_test.cpp and tests/engine_determinism_test.cpp pin it.
 #pragma once
@@ -55,38 +47,33 @@ struct DeliveredMessage {
   std::int32_t channel = 0;
   std::uint32_t len = 0;
   const Value* words = nullptr;
-  bool truncated = false;
   bool suppressed = false;  // synthesized delivery; never crossed the link
 };
 
 /// Deterministic per-directed-edge bandwidth scheduler. One instance per
-/// engine run; only constructed when an enforcing policy is selected, so
-/// the default (kCount) data plane carries no link-layer overhead at all.
+/// engine run; only constructed under kDefer, so the default (kCount) data
+/// plane carries no link-layer overhead at all.
 /// Per-link state is indexed by the graph's directed-edge slot
 /// (Graph::edge_slot); the layer keeps no adjacency of its own.
 class LinkLayer {
  public:
-  LinkLayer(const Graph& g, CongestPolicy policy, int budget_words);
+  LinkLayer(const Graph& g, int budget_words);
 
-  /// Start a round: reset per-round budgets and release last round's
-  /// delivered payload storage.
+  /// Start a round: release last round's delivered payload storage.
   void begin_round(int round);
 
-  /// Feed one fresh send (canonical order) whose payload is `words`.
-  /// kTruncate / kFail resolve it immediately; kDefer queues it on its link.
-  void ingest(const SendRecord& r, const Value* words,
-              const std::uint8_t* node_active);
+  /// Feed one fresh send (canonical order) whose payload is `words`: it
+  /// queues on its link until finish_round transmits it.
+  void ingest(const SendRecord& r, const Value* words);
 
   /// Deliver a compile-suppressed message in its send round without
   /// touching any link budget: its words never cross the wire, so it can
-  /// neither be deferred, truncated, nor fail the budget contract (the
-  /// no-double-count property compile_test pins). The caller has already
-  /// filtered terminated receivers.
+  /// never be deferred (the no-double-count property compile_test pins).
+  /// The caller has already filtered terminated receivers.
   void deliver_suppressed(const SendRecord& r, const Value* words);
 
-  /// Transmit queued traffic within each link's budget (kDefer only; a
-  /// no-op for the other policies). Must run after every ingest() of the
-  /// round and before deliveries() is read.
+  /// Transmit queued traffic within each link's budget. Must run after
+  /// every ingest() of the round and before deliveries() is read.
   void finish_round(const std::uint8_t* node_active);
 
   /// This round's cleared messages, grouped receiver-scatter-ready:
@@ -97,12 +84,12 @@ class LinkLayer {
   }
 
   /// Words still queued (sent but not yet delivered) on the directed link
-  /// from -> to, as of the most recent delivery step. Zero outside kDefer.
+  /// from -> to, as of the most recent delivery step.
   std::int64_t backlog_words(NodeId from, NodeId to) const;
 
-  /// Total words carried across rounds on all links. Nonzero only under
-  /// kDefer; the engine's quiescence check uses it to distinguish "every
-  /// node is idle but traffic is still in flight" from a permanent stall.
+  /// Total words carried across rounds on all links. The engine's
+  /// quiescence check uses it to distinguish "every node is idle but
+  /// traffic is still in flight" from a permanent stall.
   std::int64_t pending_backlog() const { return total_backlog_; }
 
   /// Export the enforcement metrics into a finished run's result.
@@ -121,7 +108,7 @@ class LinkLayer {
     std::vector<Value> payload;
   };
 
-  /// FIFO state of one directed edge (kDefer only).
+  /// FIFO state of one directed edge.
   struct Link {
     std::vector<Pending> q;  // [head_, end) is the live queue
     std::size_t head = 0;
@@ -130,15 +117,11 @@ class LinkLayer {
 
   /// The link's index: Graph::edge_slot(from, to).
   std::size_t link_index(NodeId from, NodeId to) const;
-  void deliver(NodeId to, NodeId from, std::int32_t channel,
-               const Value* words, std::uint32_t len, bool truncated);
 
   const Graph& graph_;
-  const CongestPolicy policy_;
   const std::uint32_t budget_;
   int round_ = 0;
 
-  // kDefer state.
   std::vector<Link> links_;
   std::vector<std::size_t> candidates_;     // links to service this round
   std::vector<std::uint8_t> queued_flag_;   // link already in candidates_?
@@ -147,17 +130,11 @@ class LinkLayer {
   // receive phase (their heap buffers are stable under vector growth).
   std::vector<std::vector<Value>> delivered_store_;
 
-  // kTruncate / kFail state: per-link words consumed this round.
-  std::vector<std::uint32_t> used_;
-  std::vector<std::size_t> used_touched_;
-
   std::vector<DeliveredMessage> deliveries_;
 
   // Enforcement metrics (see RunResult).
   std::int64_t deferred_messages_ = 0;
   std::int64_t deferred_words_ = 0;
-  std::int64_t truncated_messages_ = 0;
-  std::int64_t truncated_words_ = 0;
   std::int64_t backlog_peak_ = 0;
   std::int64_t rounds_with_backlog_ = 0;
 };

@@ -93,8 +93,11 @@ std::uint64_t options_digest(const EngineOptions& options) {
   h = mix_signed(h, options.max_rounds);
   h = mix_signed(h, options.congest_word_limit);
   h = mix_signed(h, static_cast<int>(options.congest_policy));
-  h = mix_signed(h, options.record_active_per_round ? 1 : 0);
-  h = mix_signed(h, options.record_terminations ? 1 : 0);
+  // Compilation changes the wire-side counters (messages_sent, words_sent,
+  // the suppressed split), so compiled and uncompiled runs of one job
+  // must not share a slot.
+  h = mix_signed(h, options.compile.cache_resends ? 1 : 0);
+  h = mix_signed(h, options.compile.decode_defaults ? 1 : 0);
   return h;
 }
 

@@ -65,8 +65,9 @@ std::uint64_t predictions_digest(const Predictions& pred);
 std::uint64_t provider_slot_digest(const PredictionProvider& provider,
                                    ProblemKind kind, std::uint64_t seed);
 
-/// Semantic options only: max_rounds, congest budget/policy, record flags.
-/// num_threads and trace_sink are execution knobs and excluded.
+/// Options that change a RunResult: max_rounds, congest budget/policy and
+/// the compile transforms. num_threads, trace_sink and profile_phases are
+/// execution knobs and excluded.
 std::uint64_t options_digest(const EngineOptions& options);
 
 /// The content address of one job. `instance_digest` is spec_digest() or

@@ -7,9 +7,6 @@
 // *complete* description of a run. A TraceSink receives that stream; the
 // consumers built on it are
 //
-//   * detail::RunRecordSink — reimplements the classic EngineOptions
-//     recording flags (record_active_per_round / record_terminations);
-//     the RunResult fields stay bit-identical to the pre-spine engine;
 //   * TranscriptWriter (sim/transcript.hpp) — the versioned binary
 //     record/replay format behind golden-transcript regression, the
 //     ReplayEngine debugger and `tools/dgap_trace`;
@@ -28,7 +25,6 @@
 #include <cstdint>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "common/types.hpp"
 #include "sim/arena.hpp"
@@ -48,7 +44,7 @@ struct RunResult;
 struct PhaseProfile {
   std::int64_t send_ns = 0;     // program on_send hooks (sharded)
   std::int64_t scatter_ns = 0;  // resolve + route + inbox scatter (fast path)
-  std::int64_t link_ns = 0;     // enforcing link-layer delivery (kDefer etc.)
+  std::int64_t link_ns = 0;     // enforcing link-layer delivery (kDefer)
   std::int64_t trace_ns = 0;    // per-message trace emission
   std::int64_t receive_ns = 0;  // program on_receive hooks (sharded)
   std::int64_t mutate_ns = 0;   // termination sweep, compaction, wake rebuild
@@ -71,7 +67,7 @@ enum class TraceDetail {
   /// Round begins (with active counts) and terminations (with outputs).
   kRounds = 0,
   /// Plus one event per delivered message: (round, from, to, channel,
-  /// word count, truncated) — the communication pattern without payloads.
+  /// word count) — the communication pattern without payloads.
   kMessages = 1,
   /// Plus the payload words of every delivered message.
   kPayloads = 2,
@@ -88,7 +84,6 @@ struct TraceMessage {
   NodeId to = kNoNode;
   int channel = 0;
   WordSpan words;
-  bool truncated = false;
   /// Synthesized by the message-reduction pass (sim/compile.hpp): the
   /// payload never crossed the wire, but the receiver observed it all the
   /// same, so it is part of the delivery stream.
@@ -108,9 +103,9 @@ class TraceSink {
  public:
   virtual ~TraceSink();
 
-  /// Highest detail this sink consumes. The engine caches the maximum over
-  /// its installed sinks once per run; per-message events are only
-  /// produced when some sink asked for kMessages or kPayloads.
+  /// Highest detail this sink consumes. The engine caches it once per
+  /// run; per-message events are only produced when the sink asked for
+  /// kMessages or kPayloads.
   virtual TraceDetail detail() const { return TraceDetail::kRounds; }
 
   /// Start of run(): the instance size and the options in effect.
@@ -135,40 +130,5 @@ class TraceSink {
   /// must not record it — transcripts exclude wall-clock by design).
   virtual void on_run_end(const RunResult& result);
 };
-
-namespace detail {
-
-/// The spine reimplementation of EngineOptions::record_active_per_round /
-/// record_terminations. The engine installs one privately when either flag
-/// is set and moves the vectors into the RunResult afterwards; contents
-/// are bit-identical to the pre-spine inline bookkeeping (pinned by
-/// engine_determinism_test).
-class RunRecordSink final : public TraceSink {
- public:
-  RunRecordSink(bool record_active, bool record_terminations)
-      : record_active_(record_active),
-        record_terminations_(record_terminations) {}
-
-  TraceDetail detail() const override { return TraceDetail::kRounds; }
-  void on_round_begin(int round, NodeId active) override {
-    if (record_active_) active_per_round.push_back(active);
-    if (record_terminations_) {
-      terminations_per_round.resize(static_cast<std::size_t>(round));
-    }
-  }
-  void on_termination(int /*round*/, NodeId node, Value /*output*/,
-                      std::span<const std::pair<NodeId, Value>>) override {
-    if (record_terminations_) terminations_per_round.back().push_back(node);
-  }
-
-  std::vector<int> active_per_round;
-  std::vector<std::vector<NodeId>> terminations_per_round;
-
- private:
-  bool record_active_;
-  bool record_terminations_;
-};
-
-}  // namespace detail
 
 }  // namespace dgap

@@ -207,8 +207,8 @@ void TranscriptWriter::on_run_begin(NodeId n, const EngineOptions& options) {
   }
   put_varint(out_, static_cast<std::uint64_t>(n));
   // The options echo deliberately stops at the semantically meaningful
-  // knobs; num_threads / record flags / sinks describe the execution, not
-  // the run, and must not break transcript equality across schedulers.
+  // knobs; num_threads and sinks describe the execution, not the run, and
+  // must not break transcript equality across schedulers.
   put_zigzag(out_, options.max_rounds);
   put_zigzag(out_, options.congest_word_limit);
   put_varint(out_, static_cast<std::uint64_t>(options.congest_policy));
@@ -247,11 +247,10 @@ void TranscriptWriter::on_message(const TraceMessage& m) {
   put_varint(out_, static_cast<std::uint64_t>(m.from));
   put_varint(out_, static_cast<std::uint64_t>(m.to));
   put_zigzag(out_, m.channel);
-  // Per-message flags byte: bit 0 truncated, bit 1 suppressed. The common
-  // (both clear) encoding is the byte 0 the pre-compile format wrote, so
+  // Per-message flags byte: bit 1 suppressed, bit 0 reserved and always
+  // clear. The common byte 0 is what the pre-compile format wrote, so
   // suppression-free files stay byte-identical under version 1.
-  out_.push_back(static_cast<std::uint8_t>((m.truncated ? 1 : 0) |
-                                           (m.suppressed ? 2 : 0)));
+  out_.push_back(m.suppressed ? 2 : 0);
   put_varint(out_, m.words.size());
   if (detail_ == TraceDetail::kPayloads) {
     for (const Value w : m.words) put_zigzag(out_, w);
@@ -359,7 +358,7 @@ Transcript decode_transcript(std::span<const std::uint8_t> bytes) {
                "invalid transcript congest_word_limit");
   t.congest_word_limit = static_cast<int>(word_limit);
   const std::uint64_t policy = r.varint();
-  DGAP_REQUIRE(policy <= static_cast<std::uint64_t>(CongestPolicy::kFail),
+  DGAP_REQUIRE(policy <= static_cast<std::uint64_t>(CongestPolicy::kDefer),
                "invalid transcript congest policy");
   t.congest_policy = static_cast<CongestPolicy>(policy);
 
@@ -399,9 +398,9 @@ Transcript decode_transcript(std::span<const std::uint8_t> bytes) {
                      "transcript channel out of range");
         m.channel = static_cast<int>(channel);
         const std::uint8_t flags = r.byte();
-        DGAP_REQUIRE(flags <= 3, "invalid transcript message flags");
-        m.truncated = (flags & 1) != 0;
-        m.suppressed = (flags & 2) != 0;
+        DGAP_REQUIRE(flags == 0 || flags == 2,
+                     "invalid transcript message flags");
+        m.suppressed = flags == 2;
         m.len = static_cast<std::uint32_t>(r.small("message length"));
         if (t.detail == TraceDetail::kPayloads) {
           m.words.reserve(m.len);
@@ -483,7 +482,7 @@ std::vector<std::uint8_t> encode_transcript(const Transcript& t) {
         words = WordSpan(m.words.data(), m.words.size());
       }
       w.on_message({round.round, m.from, m.to, m.channel, words,
-                    m.truncated, m.suppressed});
+                    m.suppressed});
     }
     for (const TranscriptTermination& term : round.terminations) {
       w.on_termination(round.round, term.node, term.output,
@@ -597,7 +596,6 @@ void VerifySink::on_message(const TraceMessage& m) {
   DGAP_ASSERT(rec.channel == m.channel,
               at + "channel " + std::to_string(m.channel) + " (recorded " +
                   std::to_string(rec.channel) + ")");
-  DGAP_ASSERT(rec.truncated == m.truncated, at + "truncated flag differs");
   DGAP_ASSERT(rec.suppressed == m.suppressed, at + "suppressed flag differs");
   DGAP_ASSERT(rec.len == m.words.size(),
               at + "width " + std::to_string(m.words.size()) +
@@ -833,8 +831,6 @@ std::optional<TranscriptDivergence> round_diff(const TranscriptRound& x,
       } else if (p.len != q.len) {
         what += "width (" + std::to_string(p.len) + " vs " +
                 std::to_string(q.len) + ")";
-      } else if (p.truncated != q.truncated) {
-        what += "truncated flag";
       } else if (p.suppressed != q.suppressed) {
         what += "suppressed flag";
       } else {

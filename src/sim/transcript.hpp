@@ -64,11 +64,11 @@ struct TranscriptMessage {
   NodeId to = kNoNode;
   int channel = 0;
   std::uint32_t len = 0;
-  bool truncated = false;
   /// Synthesized by the message-reduction pass (sim/compile.hpp). Encoded
-  /// as bit 1 of the per-message flags byte (bit 0 is truncated), so a
-  /// suppression-free transcript is byte-identical to a version-1 file
-  /// written before the pass existed — no format version bump.
+  /// as bit 1 of the per-message flags byte (bit 0 is reserved and always
+  /// clear), so a suppression-free transcript is byte-identical to a
+  /// version-1 file written before the pass existed — no format version
+  /// bump.
   bool suppressed = false;
   std::vector<Value> words;
 

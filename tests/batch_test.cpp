@@ -5,7 +5,9 @@
 //    specs;
 //  * a throwing job fails alone, with its index and error reported;
 //  * engine-level reuse (shared scratch, shared thread pool) never changes
-//    results.
+//    results;
+//  * the result cache keys every option that changes a result, so a
+//    compiled and an uncompiled run of one job never share a slot.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 #include "predict/generators.hpp"
 #include "random/luby.hpp"
 #include "sim/batch.hpp"
+#include "sim/compile.hpp"
 #include "sim/thread_pool.hpp"
 #include "sim/transcript.hpp"
 #include "templates/mis_with_predictions.hpp"
@@ -52,8 +55,8 @@ std::vector<SweepCase> sweep_cases(GraphCache& cache) {
       auto pred = flip_bits(*g, base, flips, rng);
       for (auto make : algos) {
         EngineOptions opt;
-        opt.record_terminations = (salt % 2 == 0);
-        opt.record_active_per_round = (salt % 3 == 0);
+        opt.compile.cache_resends = (salt % 2 == 0);
+        opt.compile.decode_defaults = (salt % 3 == 0);
         cases.push_back({g, pred, make, opt});
         ++salt;
       }
@@ -82,8 +85,8 @@ void expect_identical(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.total_words, b.total_words) << label;
   EXPECT_EQ(a.max_message_words, b.max_message_words) << label;
   EXPECT_EQ(a.congest_violations, b.congest_violations) << label;
-  EXPECT_EQ(a.active_per_round, b.active_per_round) << label;
-  EXPECT_EQ(a.terminations_per_round, b.terminations_per_round) << label;
+  EXPECT_EQ(a.messages_sent, b.messages_sent) << label;
+  EXPECT_EQ(a.words_sent, b.words_sent) << label;
   EXPECT_EQ(result_checksum(a), result_checksum(b)) << label;
 }
 
@@ -209,6 +212,43 @@ TEST(Batch, ThrowingJobFailsAloneWithIndexReported) {
     return std::make_unique<TerminateWithoutOutput>();
   });
   EXPECT_THROW(take_results(runner.run_all()), std::runtime_error);
+}
+
+TEST(Batch, CompileOptionsKeyTheResultCache) {
+  // flood_min re-sends most of its words, so the resend cache changes
+  // words_sent by an order of magnitude: a compiled result served to an
+  // uncompiled job would be visibly wrong.
+  const Graph g = GraphSpec::gnp(64, 0.1, 3).build();
+  EngineOptions compiled;
+  compiled.compile.cache_resends = true;
+  const RunResult fresh = run_algorithm(g, flood_min_algorithm());
+  const RunResult fresh_compiled =
+      run_algorithm(g, flood_min_algorithm(), compiled);
+  ASSERT_LT(fresh_compiled.words_sent, fresh.words_sent);
+
+  BatchRunner runner({1});
+  const auto run_one = [&](const EngineOptions& options) {
+    BatchJob job = make_job(g, flood_min_algorithm(), {}, options);
+    job.algorithm_id = "flood_min";
+    runner.add(std::move(job));
+    return runner.run_all().at(0);
+  };
+  const BatchResult first = run_one(compiled);
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_EQ(first.result.words_sent, fresh_compiled.words_sent);
+  const BatchResult uncompiled = run_one(EngineOptions{});
+  EXPECT_FALSE(uncompiled.cache_hit);
+  EXPECT_EQ(uncompiled.result.words_sent, fresh.words_sent);
+  const BatchResult decode_only = run_one([] {
+    EngineOptions o;
+    o.compile.decode_defaults = true;
+    return o;
+  }());
+  EXPECT_FALSE(decode_only.cache_hit);
+  // The same compiled job again is a hit, and the hit is the compiled run.
+  const BatchResult again = run_one(compiled);
+  EXPECT_TRUE(again.cache_hit);
+  EXPECT_EQ(again.result.words_sent, fresh_compiled.words_sent);
 }
 
 TEST(Batch, ScratchReuseAcrossEnginesIsBitIdentical) {

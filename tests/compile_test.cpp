@@ -14,8 +14,8 @@
 //     mid-run cut sweeps of the compiled template assemblies
 //     (property_sweep_test pattern).
 //  5. Enforced CONGEST interaction: suppression never touches a link
-//     budget — a fully-suppressible workload under kDefer/kTruncate at
-//     B = 1 runs exactly like the unenforced one (the free lunch).
+//     budget — a fully-suppressible workload under kDefer at B = 1 runs
+//     exactly like the unenforced one (the free lunch).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -321,37 +321,28 @@ TEST(CompileCongest, SuppressionBypassesEnforcedBudgetsWithoutDoubleCount) {
   const auto factory = [](NodeId) { return std::make_unique<AllDefault>(); };
   const auto nominal = run_algorithm(g, factory);
 
-  for (const CongestPolicy policy :
-       {CongestPolicy::kDefer, CongestPolicy::kTruncate}) {
-    SCOPED_TRACE(static_cast<int>(policy));
-    EngineOptions enforced;
-    enforced.congest_policy = policy;
-    enforced.congest_word_limit = 1;
-    const auto uncompiled = run_algorithm(g, factory, enforced);
+  EngineOptions enforced;
+  enforced.congest_policy = CongestPolicy::kDefer;
+  enforced.congest_word_limit = 1;
+  const auto uncompiled = run_algorithm(g, factory, enforced);
 
-    EngineOptions compiled = enforced;
-    compiled.compile.decode_defaults = true;
-    const auto r = run_algorithm(g, factory, compiled);
-    // Nothing crossed the wire, so B = 1 enforcement has nothing to defer
-    // or truncate and the run is byte-equal to the unenforced one.
-    EXPECT_GT(r.messages_suppressed, 0);
-    EXPECT_EQ(r.messages_sent, 0);
-    EXPECT_EQ(r.deferred_messages, 0);
-    EXPECT_EQ(r.deferred_words, 0);
-    EXPECT_EQ(r.truncated_messages, 0);
-    EXPECT_EQ(r.link_backlog_peak_words, 0);
-    EXPECT_EQ(r.rounds, nominal.rounds);
-    EXPECT_EQ(r.outputs, nominal.outputs);
-    EXPECT_EQ(r.words_sent + r.words_suppressed, nominal.total_words);
-    if (policy == CongestPolicy::kDefer) {
-      // The uncompiled 2-word messages DO hit the B = 1 budget — the
-      // contrast that makes the bypass observable.
-      EXPECT_GT(uncompiled.deferred_words, 0);
-      EXPECT_GT(uncompiled.link_backlog_peak_words, 0);
-    } else {
-      EXPECT_GT(uncompiled.truncated_messages, 0);
-    }
-  }
+  EngineOptions compiled = enforced;
+  compiled.compile.decode_defaults = true;
+  const auto r = run_algorithm(g, factory, compiled);
+  // Nothing crossed the wire, so B = 1 enforcement has nothing to defer
+  // and the run is byte-equal to the unenforced one.
+  EXPECT_GT(r.messages_suppressed, 0);
+  EXPECT_EQ(r.messages_sent, 0);
+  EXPECT_EQ(r.deferred_messages, 0);
+  EXPECT_EQ(r.deferred_words, 0);
+  EXPECT_EQ(r.link_backlog_peak_words, 0);
+  EXPECT_EQ(r.rounds, nominal.rounds);
+  EXPECT_EQ(r.outputs, nominal.outputs);
+  EXPECT_EQ(r.words_sent + r.words_suppressed, nominal.total_words);
+  // The uncompiled 2-word messages DO hit the B = 1 budget — the contrast
+  // that makes the bypass observable.
+  EXPECT_GT(uncompiled.deferred_words, 0);
+  EXPECT_GT(uncompiled.link_backlog_peak_words, 0);
 }
 
 }  // namespace

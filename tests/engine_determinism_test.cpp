@@ -9,7 +9,7 @@
 //  3. Algorithms break symmetry by identifiers, never internal indices, so
 //     permuting the internal node order yields the same per-identifier
 //     outputs and the same global metrics.
-//  4. The link layer (enforcing congest policies) preserves all of the
+//  4. The link layer (the kDefer congest policy) preserves all of the
 //     above: its schedule is computed serially between the sharded send
 //     and receive phases, so num_threads and node-order shuffles cannot
 //     change what arrives when.
@@ -32,6 +32,7 @@
 #include "sim/compile.hpp"
 #include "sim/engine.hpp"
 #include "sim/transcript.hpp"
+#include "run_record.hpp"
 
 namespace dgap {
 namespace {
@@ -58,12 +59,8 @@ void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.congest_violations, b.congest_violations);
   EXPECT_EQ(a.deferred_messages, b.deferred_messages);
   EXPECT_EQ(a.deferred_words, b.deferred_words);
-  EXPECT_EQ(a.truncated_messages, b.truncated_messages);
-  EXPECT_EQ(a.truncated_words, b.truncated_words);
   EXPECT_EQ(a.link_backlog_peak_words, b.link_backlog_peak_words);
   EXPECT_EQ(a.rounds_with_backlog, b.rounds_with_backlog);
-  EXPECT_EQ(a.active_per_round, b.active_per_round);
-  EXPECT_EQ(a.terminations_per_round, b.terminations_per_round);
 }
 
 Graph test_graph() {
@@ -73,29 +70,27 @@ Graph test_graph() {
   return g;
 }
 
-EngineOptions recording_options(int num_threads) {
+EngineOptions threads_options(int num_threads) {
   EngineOptions opt;
-  opt.record_active_per_round = true;
-  opt.record_terminations = true;
   opt.num_threads = num_threads;
   return opt;
 }
 
 TEST(EngineDeterminism, SameSeedSameResult) {
   Graph g = test_graph();
-  auto one = run_algorithm(g, luby_mis_algorithm(42), recording_options(1));
-  auto two = run_algorithm(g, luby_mis_algorithm(42), recording_options(1));
+  auto one = run_algorithm(g, luby_mis_algorithm(42), threads_options(1));
+  auto two = run_algorithm(g, luby_mis_algorithm(42), threads_options(1));
   ASSERT_TRUE(one.completed);
   expect_identical(one, two);
 }
 
 TEST(EngineDeterminism, ThreadCountInvariant) {
   Graph g = test_graph();
-  auto serial = run_algorithm(g, luby_mis_algorithm(42), recording_options(1));
+  auto serial = run_algorithm(g, luby_mis_algorithm(42), threads_options(1));
   ASSERT_TRUE(serial.completed);
   for (int threads : {2, 4, 8}) {
     auto parallel =
-        run_algorithm(g, luby_mis_algorithm(42), recording_options(threads));
+        run_algorithm(g, luby_mis_algorithm(42), threads_options(threads));
     expect_identical(serial, parallel);
   }
 }
@@ -116,7 +111,7 @@ Graph permute_indices(const Graph& g, const std::vector<NodeId>& perm) {
 
 TEST(EngineDeterminism, NodeOrderShuffleInvariantPerIdentifier) {
   Graph g = test_graph();
-  auto base = run_algorithm(g, luby_mis_algorithm(42), recording_options(1));
+  auto base = run_algorithm(g, luby_mis_algorithm(42), threads_options(1));
   ASSERT_TRUE(base.completed);
 
   Rng rng(99);
@@ -126,7 +121,7 @@ TEST(EngineDeterminism, NodeOrderShuffleInvariantPerIdentifier) {
     rng.shuffle(perm);
     Graph h = permute_indices(g, perm);
     auto shuffled =
-        run_algorithm(h, luby_mis_algorithm(42), recording_options(1));
+        run_algorithm(h, luby_mis_algorithm(42), threads_options(1));
 
     // Global quantities are index-free and must match exactly.
     EXPECT_EQ(base.completed, shuffled.completed);
@@ -134,7 +129,7 @@ TEST(EngineDeterminism, NodeOrderShuffleInvariantPerIdentifier) {
     EXPECT_EQ(base.total_messages, shuffled.total_messages);
     EXPECT_EQ(base.total_words, shuffled.total_words);
     EXPECT_EQ(base.max_message_words, shuffled.max_message_words);
-    EXPECT_EQ(base.active_per_round, shuffled.active_per_round);
+    EXPECT_EQ(active_per_round(base), active_per_round(shuffled));
 
     // Per-node quantities must match after translating indices to ids.
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -181,7 +176,7 @@ class BurstEchoProgram final : public NodeProgram {
 
 TEST(EngineDeterminism, DeferPolicyThreadCountInvariant) {
   Graph g = test_graph();
-  EngineOptions opt = recording_options(1);
+  EngineOptions opt = threads_options(1);
   opt.congest_policy = CongestPolicy::kDefer;
   opt.congest_word_limit = 3;  // below the burst width: every send defers
   auto factory = [](NodeId) { return std::make_unique<BurstEchoProgram>(); };
@@ -205,7 +200,7 @@ TEST(EngineDeterminism, DeferPolicyShuffleInvariantPerIdentifier) {
   Rng graph_rng(7);
   Graph g = make_random_connected(24, 12, graph_rng);
   randomize_ids(g, graph_rng);
-  EngineOptions opt = recording_options(1);
+  EngineOptions opt = threads_options(1);
   opt.congest_policy = CongestPolicy::kDefer;
   opt.congest_word_limit = 1;
   auto base = run_algorithm(g, congest_global_mis_algorithm(), opt);
@@ -235,7 +230,7 @@ TEST(EngineDeterminism, DeferPolicyShuffleInvariantPerIdentifier) {
     EXPECT_EQ(base.deferred_words, shuffled.deferred_words);
     EXPECT_EQ(base.link_backlog_peak_words, shuffled.link_backlog_peak_words);
     EXPECT_EQ(base.rounds_with_backlog, shuffled.rounds_with_backlog);
-    EXPECT_EQ(base.active_per_round, shuffled.active_per_round);
+    EXPECT_EQ(active_per_round(base), active_per_round(shuffled));
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       EXPECT_EQ(base.outputs[v], shuffled.outputs[perm[v]])
           << "output of id " << g.id(v);
@@ -253,7 +248,7 @@ TEST(EngineDeterminism, DeferPolicyShuffleInvariantPerIdentifier) {
 // bytes — see sim/transcript.hpp.)
 TEST(EngineDeterminism, TranscriptIsThreadCountInvariant) {
   Graph g = test_graph();
-  EngineOptions opt = recording_options(1);
+  EngineOptions opt = threads_options(1);
   const RecordedRun serial =
       record_run(g, {}, luby_mis_algorithm(42), opt, TraceDetail::kPayloads);
   ASSERT_TRUE(serial.result.completed);
@@ -270,12 +265,12 @@ TEST(EngineDeterminism, TranscriptIsThreadCountInvariant) {
 
 TEST(EngineDeterminism, DeferTranscriptIsThreadCountInvariant) {
   // Under kDefer the transcript records effective arrival rounds, so byte
-  // equality also pins the whole deferral schedule. Every enforcing input
+  // equality also pins the whole deferral schedule. Every enforced input
   // runs delivery passes A and B (channel repair, resend cache, charge)
-  // sharded before the serial link layer, so sweep both enforcing
-  // policies with the cache off and on: BurstEcho's 4-word bursts defer or
-  // truncate at B = 3, and flood_min's 1-word re-broadcasts give the cache
-  // hits whose suppressed deliveries bypass the link budget.
+  // sharded before the serial link layer, so sweep the cache off and on:
+  // BurstEcho's 4-word bursts defer at B = 3, and flood_min's 1-word
+  // re-broadcasts give the cache hits whose suppressed deliveries bypass
+  // the link budget.
   Rng rng(33);
   Graph flood_graph = make_random_connected(48, 40, rng);
   randomize_ids(flood_graph, rng);
@@ -290,35 +285,28 @@ TEST(EngineDeterminism, DeferTranscriptIsThreadCountInvariant) {
       {"flood_min", flood_graph, flood_min_algorithm()},
   };
   for (const Input& in : inputs) {
-    for (CongestPolicy policy :
-         {CongestPolicy::kDefer, CongestPolicy::kTruncate}) {
-      for (bool cache : {false, true}) {
-        const bool defer = policy == CongestPolicy::kDefer;
-        SCOPED_TRACE(std::string(in.name) + (defer ? " defer" : " truncate") +
-                     (cache ? " cache" : ""));
-        EngineOptions opt = recording_options(1);
-        opt.congest_policy = policy;
-        opt.congest_word_limit = 3;
-        opt.compile.cache_resends = cache;
-        const RecordedRun serial =
-            record_run(in.g, {}, in.factory, opt, TraceDetail::kPayloads);
-        ASSERT_TRUE(serial.result.completed);
-        if (std::string(in.name) == "burst_echo") {
-          ASSERT_GT(defer ? serial.result.deferred_words
-                          : serial.result.truncated_words,
-                    0);
-        } else if (cache) {
-          ASSERT_GT(serial.result.messages_suppressed, 0);
-        }
-        for (int threads : {2, 4, 8}) {
-          EngineOptions topt = opt;
-          topt.num_threads = threads;
-          const RecordedRun parallel =
-              record_run(in.g, {}, in.factory, topt, TraceDetail::kPayloads);
-          EXPECT_EQ(serial.transcript, parallel.transcript)
-              << "num_threads = " << threads;
-          expect_identical(serial.result, parallel.result);
-        }
+    for (bool cache : {false, true}) {
+      SCOPED_TRACE(std::string(in.name) + (cache ? " cache" : ""));
+      EngineOptions opt = threads_options(1);
+      opt.congest_policy = CongestPolicy::kDefer;
+      opt.congest_word_limit = 3;
+      opt.compile.cache_resends = cache;
+      const RecordedRun serial =
+          record_run(in.g, {}, in.factory, opt, TraceDetail::kPayloads);
+      ASSERT_TRUE(serial.result.completed);
+      if (std::string(in.name) == "burst_echo") {
+        ASSERT_GT(serial.result.deferred_words, 0);
+      } else if (cache) {
+        ASSERT_GT(serial.result.messages_suppressed, 0);
+      }
+      for (int threads : {2, 4, 8}) {
+        EngineOptions topt = opt;
+        topt.num_threads = threads;
+        const RecordedRun parallel =
+            record_run(in.g, {}, in.factory, topt, TraceDetail::kPayloads);
+        EXPECT_EQ(serial.transcript, parallel.transcript)
+            << "num_threads = " << threads;
+        expect_identical(serial.result, parallel.result);
       }
     }
   }
@@ -372,7 +360,7 @@ TEST(EngineDeterminism, ChannelRepairOrderIsCanonicalAtEveryThreadCount) {
     return std::make_unique<ChannelRepairProgram>();
   };
   for (CongestPolicy policy : {CongestPolicy::kCount, CongestPolicy::kDefer}) {
-    EngineOptions opt = recording_options(1);
+    EngineOptions opt = threads_options(1);
     opt.congest_policy = policy;
     opt.congest_word_limit = 4;  // 11 words per link per send round
     SCOPED_TRACE(policy == CongestPolicy::kDefer ? "defer" : "count");
@@ -408,7 +396,7 @@ TEST(EngineDeterminism, CompiledStreamedTranscriptIsThreadCountInvariant) {
   Rng rng(31);
   Graph g = make_random_connected(48, 40, rng);
   randomize_ids(g, rng);
-  EngineOptions opt = recording_options(1);
+  EngineOptions opt = threads_options(1);
   opt.compile.cache_resends = true;
   opt.compile.decode_defaults = true;
   const std::string serial_path = "/tmp/dgap_det_serial.dgaptr";
@@ -441,7 +429,7 @@ TEST(EngineDeterminism, CompiledRoundsTranscriptIsThreadCountInvariant) {
   Rng rng(32);
   Graph g = make_random_connected(64, 48, rng);
   randomize_ids(g, rng);
-  EngineOptions opt = recording_options(1);
+  EngineOptions opt = threads_options(1);
   opt.compile.cache_resends = true;
   const RecordedRun serial =
       record_run(g, {}, flood_min_algorithm(), opt, TraceDetail::kRounds);
@@ -458,24 +446,32 @@ TEST(EngineDeterminism, CompiledRoundsTranscriptIsThreadCountInvariant) {
   }
 }
 
-// The record_* options are reimplemented on the trace spine
-// (detail::RunRecordSink); the fields they fill must stay bit-identical
-// to the transcript's own per-round view of the same run.
-TEST(EngineDeterminism, RecordOptionsMatchTranscriptSpine) {
+// The per-round views the test helpers derive from termination_round
+// (run_record.hpp) must equal the transcript's own per-round view of the
+// same run — also for a run cut short by max_rounds, where some nodes
+// never terminate.
+TEST(EngineDeterminism, TerminationRoundsMatchTranscriptSpine) {
   Graph g = test_graph();
-  const RecordedRun run = record_run(g, {}, luby_mis_algorithm(42),
-                                     recording_options(1),
-                                     TraceDetail::kRounds);
-  const Transcript t = decode_transcript(run.transcript);
-  ASSERT_EQ(t.rounds.size(), run.result.active_per_round.size());
-  ASSERT_EQ(t.rounds.size(), run.result.terminations_per_round.size());
-  for (std::size_t i = 0; i < t.rounds.size(); ++i) {
-    EXPECT_EQ(t.rounds[i].active, run.result.active_per_round[i]);
-    std::vector<NodeId> terms;
-    for (const TranscriptTermination& term : t.rounds[i].terminations) {
-      terms.push_back(term.node);
+  for (int max_rounds : {1'000'000, 2}) {
+    SCOPED_TRACE("max_rounds = " + std::to_string(max_rounds));
+    EngineOptions opt = threads_options(1);
+    opt.max_rounds = max_rounds;
+    const RecordedRun run = record_run(g, {}, luby_mis_algorithm(42), opt,
+                                       TraceDetail::kRounds);
+    EXPECT_EQ(run.result.completed, max_rounds > 2);
+    const Transcript t = decode_transcript(run.transcript);
+    const std::vector<int> active = active_per_round(run.result);
+    const auto terminations = terminations_per_round(run.result);
+    ASSERT_EQ(t.rounds.size(), active.size());
+    ASSERT_EQ(t.rounds.size(), terminations.size());
+    for (std::size_t i = 0; i < t.rounds.size(); ++i) {
+      EXPECT_EQ(t.rounds[i].active, active[i]);
+      std::vector<NodeId> terms;
+      for (const TranscriptTermination& term : t.rounds[i].terminations) {
+        terms.push_back(term.node);
+      }
+      EXPECT_EQ(terms, terminations[i]);
     }
-    EXPECT_EQ(terms, run.result.terminations_per_round[i]);
   }
 }
 

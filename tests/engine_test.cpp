@@ -245,12 +245,12 @@ TEST(Engine, EdgeOutputsRecorded) {
 
 TEST(Engine, ActivePerRoundRecording) {
   Graph g = make_line(4);
-  EngineOptions opt;
-  opt.record_active_per_round = true;
-  auto result = run_algorithm(
-      g, [](NodeId) { return std::make_unique<OutputIdProgram>(); }, opt);
-  ASSERT_EQ(result.active_per_round.size(), 1u);
-  EXPECT_EQ(result.active_per_round[0], 4);
+  const RecordedRun run = record_run(
+      g, {}, [](NodeId) { return std::make_unique<OutputIdProgram>(); }, {},
+      TraceDetail::kRounds);
+  const Transcript t = decode_transcript(run.transcript);
+  ASSERT_EQ(t.rounds.size(), 1u);
+  EXPECT_EQ(t.rounds[0].active, 4);
 }
 
 TEST(Engine, PredictionsAccessible) {
@@ -290,17 +290,26 @@ TEST(Engine, GraphInfoExposedToNodes) {
 TEST(Engine, TerminationTraceRecording) {
   Graph g = make_line(3);  // ids 1-2-3
   EngineOptions opt;
-  opt.record_terminations = true;
   // ObserveTerminationProgram: node 2 (max id) ends round 1, node 1
   // follows in round 2, node 0 never does.
   opt.max_rounds = 5;
-  auto result = run_algorithm(
-      g, [](NodeId) { return std::make_unique<ObserveTerminationProgram>(); },
-      opt);
-  ASSERT_EQ(result.terminations_per_round.size(), 5u);
-  EXPECT_EQ(result.terminations_per_round[0], (std::vector<NodeId>{2}));
-  EXPECT_EQ(result.terminations_per_round[1], (std::vector<NodeId>{1}));
-  EXPECT_TRUE(result.terminations_per_round[2].empty());
+  const RecordedRun run = record_run(
+      g, {},
+      [](NodeId) { return std::make_unique<ObserveTerminationProgram>(); },
+      opt, TraceDetail::kRounds);
+  const Transcript t = decode_transcript(run.transcript);
+  ASSERT_EQ(t.rounds.size(), 5u);
+  const auto terminated = [&t](std::size_t i) {
+    std::vector<NodeId> nodes;
+    for (const TranscriptTermination& term : t.rounds[i].terminations) {
+      nodes.push_back(term.node);
+    }
+    return nodes;
+  };
+  EXPECT_EQ(terminated(0), (std::vector<NodeId>{2}));
+  EXPECT_EQ(terminated(1), (std::vector<NodeId>{1}));
+  EXPECT_TRUE(terminated(2).empty());
+  EXPECT_EQ(run.result.termination_round, (std::vector<int>{-1, 2, 1}));
 }
 
 TEST(Engine, CompletionRoundPerComponent) {
@@ -495,73 +504,6 @@ TEST(Engine, DeferPreservesFifoAndSenderOrder) {
   EXPECT_TRUE(result.completed);
   // Round 1: first message of id 1 then of id 3; round 2: their seconds.
   EXPECT_EQ(result.outputs[1], 11'031'012'032LL);
-}
-
-TEST(Engine, TruncateDropsExcessWords) {
-  // Two messages on one link in one round under a 2-word budget: a 3-word
-  // message keeps its first 2 words; the following 2-word message finds
-  // the budget exhausted and arrives empty. Both are marked.
-  class TwoWidthsProgram final : public NodeProgram {
-   public:
-    void on_send(NodeContext& ctx) override {
-      if (ctx.round() == 1 && ctx.index() == 0) {
-        ctx.send(1, {41, 42, 43});
-        ctx.send(1, {91, 92});
-      }
-    }
-    void on_receive(NodeContext& ctx) override {
-      Value seen = 0;
-      for (const Message& m : ctx.inbox()) {
-        seen = seen * 1000 + static_cast<Value>(m.words.size()) * 10 +
-               (m.truncated ? 1 : 0);
-        for (std::size_t i = 0; i < m.words.size(); ++i) {
-          EXPECT_LT(m.words.at(i), 50);  // nothing of {91, 92} got through
-        }
-      }
-      ctx.set_output(seen + 1);
-      ctx.terminate();
-    }
-  };
-  Graph g = make_line(2);
-  EngineOptions opt;
-  opt.congest_policy = CongestPolicy::kTruncate;
-  opt.congest_word_limit = 2;
-  auto result = run_algorithm(
-      g, [](NodeId) { return std::make_unique<TwoWidthsProgram>(); }, opt);
-  EXPECT_TRUE(result.completed);
-  EXPECT_EQ(result.rounds, 1);  // truncation never delays delivery
-  // (len 2, truncated) then (len 0, truncated), +1.
-  EXPECT_EQ(result.outputs[1], 21'001 + 1);
-  EXPECT_EQ(result.truncated_messages, 2);
-  EXPECT_EQ(result.truncated_words, 1 + 2);
-  EXPECT_EQ(result.deferred_words, 0);
-}
-
-TEST(Engine, FailPolicyThrowsAtOffendingSend) {
-  class WideProgram final : public NodeProgram {
-   public:
-    void on_send(NodeContext& ctx) override {
-      if (ctx.round() == 1) ctx.broadcast({1, 2, 3});
-    }
-    void on_receive(NodeContext& ctx) override {
-      ctx.set_output(0);
-      ctx.terminate();
-    }
-  };
-  Graph g = make_line(2);
-  EngineOptions opt;
-  opt.congest_policy = CongestPolicy::kFail;
-  opt.congest_word_limit = 2;
-  EXPECT_THROW(
-      run_algorithm(
-          g, [](NodeId) { return std::make_unique<WideProgram>(); }, opt),
-      std::invalid_argument);
-  // Within budget, kFail is transparent.
-  opt.congest_word_limit = 3;
-  auto ok = run_algorithm(
-      g, [](NodeId) { return std::make_unique<WideProgram>(); }, opt);
-  EXPECT_TRUE(ok.completed);
-  EXPECT_EQ(ok.rounds, 1);
 }
 
 TEST(Engine, EnforcingPolicyRequiresPositiveBudget) {

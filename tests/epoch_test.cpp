@@ -3,8 +3,8 @@
 //      coloring}: every epoch's warm output is a valid complete solution,
 //      η is finite, and the per-epoch degradation bound holds exactly.
 //   2. Determinism — identical ChurnSpec seeds give byte-identical
-//      per-epoch transcripts across engine threads {1,2,4} and batch
-//      workers {1,2,4}; the committed epoch-sequence golden re-verifies.
+//      per-epoch transcripts across batch workers {1,2,4}; the committed
+//      epoch-sequence golden re-verifies.
 //   3. Result-cache correctness — hits are bit-identical to a forced
 //      recompute (transcript bytes as witness), distinct predictions get
 //      distinct keys, and a mutated cache entry trips the poisoning guard.
@@ -117,7 +117,7 @@ EpochConfig determinism_config() {
   return config;
 }
 
-TEST(EpochDeterminism, ByteIdenticalAcrossWorkersAndThreads) {
+TEST(EpochDeterminism, ByteIdenticalAcrossWorkers) {
   std::vector<std::vector<std::uint8_t>> sequences;
   std::vector<std::uint64_t> checksums;
   for (int workers : {1, 2, 4}) {
@@ -128,19 +128,19 @@ TEST(EpochDeterminism, ByteIdenticalAcrossWorkersAndThreads) {
     sequences.push_back(epoch_sequence_of("det", report));
     checksums.push_back(epoch_report_checksum(report));
   }
-  for (int threads : {1, 2, 4}) {
-    EpochConfig config = determinism_config();
-    config.workers = 0;  // inline path honors num_threads
-    config.options.num_threads = threads;
-    EpochHarness harness(epoch_mis(), config);
-    const EpochReport report = harness.run();
-    sequences.push_back(epoch_sequence_of("det", report));
-    checksums.push_back(epoch_report_checksum(report));
-  }
   for (std::size_t i = 1; i < sequences.size(); ++i) {
     EXPECT_EQ(sequences[i], sequences[0]) << "execution axis " << i;
     EXPECT_EQ(checksums[i], checksums[0]) << "execution axis " << i;
   }
+}
+
+TEST(EpochDeterminism, HarnessRunsOnlyOnItsBatchRunner) {
+  EpochConfig no_workers = determinism_config();
+  no_workers.workers = 0;
+  EXPECT_THROW(EpochHarness(epoch_mis(), no_workers), std::invalid_argument);
+  EpochConfig threaded = determinism_config();
+  threaded.options.num_threads = 2;
+  EXPECT_THROW(EpochHarness(epoch_mis(), threaded), std::invalid_argument);
 }
 
 TEST(EpochGolden, CommittedEpochSequencesVerifyAgainstLiveReruns) {

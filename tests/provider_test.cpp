@@ -10,9 +10,13 @@
 //      (warm_start, learned) fold their payloads into the digest.
 //   3. provider_slot_digest — the ResultCache key ingredient separates
 //      providers, kinds, and seeds.
+//   4. The "DGWB" weight blob round-trips, and every truncation and every
+//      single-byte flip of it fails decode_model with DGAP_REQUIRE
+//      (std::invalid_argument) — never UB (asan/ubsan in CI).
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -165,6 +169,37 @@ TEST(Provider, BatchTranscriptsByteIdenticalAtOneAndFourWorkers) {
   ASSERT_GT(half, 0u);
   for (std::size_t i = 0; i < half; ++i) {
     EXPECT_EQ(transcripts[i], transcripts[half + i]) << "job " << i;
+  }
+}
+
+TEST(WeightBlob, RoundTrips) {
+  const LearnedModel model = tiny_model();
+  const std::vector<std::uint8_t> blob = encode_model(model);
+  const LearnedModel back = decode_model(blob);
+  EXPECT_EQ(back.version, model.version);
+  EXPECT_EQ(back.weights, model.weights);
+  EXPECT_EQ(encode_model(back), blob);
+}
+
+TEST(WeightBlob, EveryTruncationFailsCleanly) {
+  const std::vector<std::uint8_t> blob = encode_model(tiny_model());
+  for (std::size_t len = 0; len < blob.size(); ++len) {
+    const std::vector<std::uint8_t> prefix(
+        blob.begin(), blob.begin() + static_cast<long>(len));
+    EXPECT_THROW(decode_model(prefix), std::invalid_argument)
+        << "prefix of " << len << " bytes decoded";
+  }
+}
+
+TEST(WeightBlob, EveryByteFlipFailsCleanly) {
+  const std::vector<std::uint8_t> blob = encode_model(tiny_model());
+  for (std::size_t i = 0; i < blob.size(); ++i) {
+    for (const std::uint8_t flip : {std::uint8_t{0x01}, std::uint8_t{0x80}}) {
+      std::vector<std::uint8_t> corrupt = blob;
+      corrupt[i] ^= flip;
+      EXPECT_THROW(decode_model(corrupt), std::invalid_argument)
+          << "corrupt byte " << i << " (^" << int(flip) << ") decoded";
+    }
   }
 }
 

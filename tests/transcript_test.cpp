@@ -7,7 +7,8 @@
 //     engine executed, and re-encoding reproduces the bytes.
 //  3. Robustness: truncated or corrupted files fail with DGAP_REQUIRE
 //     (std::invalid_argument) — never UB (this test runs under
-//     asan/ubsan in CI).
+//     asan/ubsan in CI) — and so do well-sealed files carrying a message
+//     flag or congest policy outside the format's value set.
 //  4. Verification: an identical re-run passes run_verified; a perturbed
 //     engine (different algorithm seed) fails with DGAP_ASSERT naming the
 //     exact first divergent round.
@@ -32,6 +33,7 @@
 #include "graph/generators.hpp"
 #include "random/luby.hpp"
 #include "sim/transcript.hpp"
+#include "run_record.hpp"
 
 namespace dgap {
 namespace {
@@ -67,7 +69,7 @@ Transcript random_transcript(Rng& rng) {
   t.n = static_cast<NodeId>(rng.uniform(1, 40));
   t.max_rounds = static_cast<int>(rng.uniform(0, 1'000'000));
   t.congest_word_limit = static_cast<int>(rng.uniform(0, 8));
-  t.congest_policy = static_cast<CongestPolicy>(rng.next_below(4));
+  t.congest_policy = static_cast<CongestPolicy>(rng.next_below(2));
   const int rounds = static_cast<int>(rng.next_below(8));
   for (int r = 1; r <= rounds; ++r) {
     TranscriptRound round;
@@ -83,7 +85,7 @@ Transcript random_transcript(Rng& rng) {
             static_cast<std::uint64_t>(t.n)));
         m.channel = static_cast<int>(rng.uniform(-3, 3));
         m.len = static_cast<std::uint32_t>(rng.next_below(6));
-        m.truncated = rng.flip(0.1);
+        m.suppressed = rng.flip(0.1);
         if (t.detail == TraceDetail::kPayloads) {
           for (std::uint32_t w = 0; w < m.len; ++w) {
             m.words.push_back(random_value(rng));
@@ -164,6 +166,72 @@ TEST(TranscriptCodec, EveryByteFlipFailsCleanly) {
   }
 }
 
+/// FNV-1a, the checksum of the transcript format's round blocks and file.
+std::uint64_t fnv1a(const std::uint8_t* p, std::size_t count) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::size_t i = 0; i < count; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+void put_fixed64_at(std::vector<std::uint8_t>& bytes, std::size_t at,
+                    std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    bytes[at + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+// A one-message transcript whose header field or message flags byte is
+// overwritten and both checksums recomputed, so only the value check can
+// reject it: bit 0 of the flags byte is reserved and the policy must name
+// kCount or kDefer.
+TEST(TranscriptCodec, OutOfRangeFlagsAndPolicyFailCleanly) {
+  Transcript t;
+  t.detail = TraceDetail::kMessages;
+  t.label = "x";
+  t.n = 2;
+  t.max_rounds = 1;
+  t.rounds.push_back({1, 2, {{0, 1, 0, 0, false, {}}}, {}});
+  t.summary.rounds = 1;
+  const std::vector<std::uint8_t> bytes = encode_transcript(t);
+  // Layout: header, then the round block [kTagRound, round 1, active 2,
+  // kTagMessage, from 0, to 1, channel 0, flags, len 0], then kTagRoundEnd
+  // and its 8-byte checksum, then the 13-byte trailer (tag, completed,
+  // rounds, messages, words, 8-byte file checksum).
+  const std::size_t round_start = bytes.size() - 13 - 9 - 9;
+  const std::size_t policy_at = round_start - 1;
+  const std::size_t flags_at = round_start + 7;
+  ASSERT_EQ(bytes[round_start], 1);  // kTagRound
+  ASSERT_EQ(bytes[policy_at], 0);    // kCount
+  ASSERT_EQ(bytes[flags_at], 0);
+  const auto patched = [&](std::size_t at, std::uint8_t value) {
+    std::vector<std::uint8_t> out = bytes;
+    out[at] = value;
+    put_fixed64_at(out, round_start + 10,
+                   fnv1a(out.data() + round_start, 9));
+    put_fixed64_at(out, out.size() - 8, fnv1a(out.data(), out.size() - 8));
+    return out;
+  };
+  EXPECT_EQ(decode_transcript(patched(flags_at, 0)), t);
+  EXPECT_TRUE(decode_transcript(patched(flags_at, 2)).rounds[0]
+                  .messages[0].suppressed);
+  for (const std::uint8_t flags : {1, 3}) {
+    EXPECT_THROW(decode_transcript(patched(flags_at, flags)),
+                 std::invalid_argument)
+        << "flags " << int(flags);
+  }
+  EXPECT_EQ(decode_transcript(patched(policy_at, 1)).congest_policy,
+            CongestPolicy::kDefer);
+  for (const std::uint8_t policy : {2, 3}) {
+    EXPECT_THROW(decode_transcript(patched(policy_at, policy)),
+                 std::invalid_argument)
+        << "policy " << int(policy);
+  }
+}
+
 TEST(TranscriptCodec, GarbageInputFailsCleanly) {
   EXPECT_THROW(decode_transcript({}), std::invalid_argument);
   Rng rng(7004);
@@ -189,12 +257,9 @@ Graph fixture_graph() {
 
 TEST(TranscriptRecord, DecodeMatchesRunAndReencodes) {
   const Graph g = fixture_graph();
-  EngineOptions options;
-  options.record_active_per_round = true;
-  options.record_terminations = true;
   const RecordedRun run =
-      record_run(g, {}, luby_mis_algorithm(11), options,
-                 TraceDetail::kPayloads, "luby_fixture");
+      record_run(g, {}, luby_mis_algorithm(11), {}, TraceDetail::kPayloads,
+                 "luby_fixture");
   const Transcript t = decode_transcript(run.transcript);
 
   EXPECT_EQ(t.label, "luby_fixture");
@@ -206,19 +271,21 @@ TEST(TranscriptRecord, DecodeMatchesRunAndReencodes) {
   EXPECT_EQ(t.summary.total_words, run.result.total_words);
   ASSERT_EQ(static_cast<int>(t.rounds.size()), run.result.rounds);
 
-  // The per-round view matches the spine-recorded RunResult fields. The
+  // The per-round view matches the one termination_round implies. The
   // trailer totals are the engine's sender-side accounting; the round
   // blocks hold *deliveries*, which exclude sends charged to nodes that
   // had already terminated (see deliver_round_messages), so the walked
   // counts are a lower bound.
+  const std::vector<int> active = active_per_round(run.result);
+  const auto terminations = terminations_per_round(run.result);
   std::int64_t messages = 0, words = 0;
   for (std::size_t i = 0; i < t.rounds.size(); ++i) {
-    EXPECT_EQ(t.rounds[i].active, run.result.active_per_round[i]);
+    EXPECT_EQ(t.rounds[i].active, active[i]);
     std::vector<NodeId> terms;
     for (const TranscriptTermination& term : t.rounds[i].terminations) {
       terms.push_back(term.node);
     }
-    EXPECT_EQ(terms, run.result.terminations_per_round[i]);
+    EXPECT_EQ(terms, terminations[i]);
     for (const TranscriptMessage& m : t.rounds[i].messages) {
       EXPECT_EQ(m.words.size(), m.len);
       messages += 1;
@@ -394,13 +461,10 @@ TEST(TranscriptVerify, InstanceMismatchIsRequireNotAssert) {
 
 TEST(TranscriptReplay, ReconstructsRunStateRoundByRound) {
   const Graph g = fixture_graph();
-  EngineOptions options;
-  options.record_active_per_round = true;
-  options.record_terminations = true;
   const RecordedRun run =
-      record_run(g, {}, luby_mis_algorithm(11), options,
-                 TraceDetail::kPayloads);
+      record_run(g, {}, luby_mis_algorithm(11), {}, TraceDetail::kPayloads);
   const Transcript t = decode_transcript(run.transcript);
+  const std::vector<int> active = active_per_round(run.result);
 
   ReplayEngine replay(t);
   EXPECT_EQ(replay.n(), g.num_nodes());
@@ -411,9 +475,9 @@ TEST(TranscriptReplay, ReconstructsRunStateRoundByRound) {
   while (replay.step()) {
     ++steps;
     EXPECT_EQ(replay.round(), steps);
-    // Start-of-round active count matches the recorded spine data.
+    // Start-of-round active count matches the live run's.
     EXPECT_EQ(replay.active_count(),
-              run.result.active_per_round[static_cast<std::size_t>(steps - 1)]);
+              active[static_cast<std::size_t>(steps - 1)]);
     EXPECT_EQ(static_cast<NodeId>(replay.active_nodes().size()),
               replay.active_count());
     // Inboxes partition the round's messages.
