@@ -21,7 +21,7 @@
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "mis/algorithms.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/batch.hpp"
 #include "templates/mis_with_predictions.hpp"
 
@@ -46,15 +46,15 @@ Sweep tradeoff_sweep() {
   auto rows = std::make_shared<std::vector<std::pair<std::size_t, std::pair<int, int>>>>();
   const std::vector<std::pair<int, int>> lambdas{{0, 1}, {1, 4}, {1, 2},
                                                  {1, 1}};
-  Rng rng(99);
   graphs->reserve(2);
   for (NodeId n : {64, 128}) {
     Graph& g = graphs->emplace_back(make_line(n));
     sorted_ids(g);
-    auto base = mis_correct_prediction(g, rng);
     for (int flips : {0, 2, 8, 24, n}) {
-      auto pred = flips == n ? all_same(g, 1) : flip_bits(g, base, flips, rng);
-      preds->push_back(std::move(pred));
+      // One seed for every level: the levels share one base solution.
+      const ProviderPtr provider =
+          flips == n ? constant_provider(1) : perturbed_provider(flips);
+      preds->push_back(provide_with_seed(*provider, g, ProblemKind::kMis, 99));
       for (auto lambda : lambdas) {
         rows->push_back({preds->size() - 1, lambda});
       }

@@ -18,7 +18,7 @@
 #include "mis/algorithms.hpp"
 #include "mis/congest_global.hpp"
 #include "mis/gather.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
 #include "tree/gps.hpp"
@@ -38,7 +38,7 @@ void print_table() {
   table.print_header();
   Rng rng(4);
   Graph g = make_random_connected(100, 50, rng);
-  auto pred = flip_bits(g, mis_correct_prediction(g, rng), 10, rng);
+  auto pred = perturbed_provider(10)->provide(g, ProblemKind::kMis, rng);
 
   auto report = [&](const char* name, RunResult result) {
     table.print_row({name, fmt(result.rounds), fmt(result.max_message_words),

@@ -12,7 +12,7 @@
 #include "mis/checkers.hpp"
 #include "mis/gather.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/batch.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
@@ -48,13 +48,15 @@ void print_table() {
   for (NodeId n : {64, 128}) {
     Graph& g = graphs.emplace_back(make_line(n));
     sorted_ids(g);  // worst case for the uniform algorithm
-    auto base = mis_correct_prediction(g, rng);
+    const std::uint64_t seed = rng.next();  // every level shares one base
     const int cap = kMisInitRounds +
                     2 * (linial_mis_total_rounds(g.id_bound(), g.max_degree()) +
                          kMisCleanupRounds) +
                     kMisCleanupRounds;
     for (int flips : {0, 2, 8, 32, n}) {
-      auto pred = flips == n ? all_same(g, 1) : flip_bits(g, base, flips, rng);
+      const ProviderPtr provider =
+          flips == n ? constant_provider(1) : perturbed_provider(flips);
+      auto pred = provide_with_seed(*provider, g, ProblemKind::kMis, seed);
       runner.add(g, mis_consecutive_gather(), pred);
       runner.add(g, mis_consecutive_linial(), pred);
       rows.push_back({n, flips, cap, std::move(pred)});
@@ -78,8 +80,8 @@ void BM_ConsecutiveGather(benchmark::State& state) {
   Rng rng(5);
   Graph g = make_grid(8, 8);
   randomize_ids(g, rng);
-  auto pred = flip_bits(g, mis_correct_prediction(g, rng),
-                        static_cast<int>(state.range(0)), rng);
+  const int errors = static_cast<int>(state.range(0));
+  auto pred = perturbed_provider(errors)->provide(g, ProblemKind::kMis, rng);
   int rounds = 0;
   for (auto _ : state) {
     auto result = run_with_predictions(g, pred, mis_consecutive_gather());

@@ -27,7 +27,6 @@ struct CaseResult {
   double wall_ms = 0;
   int rounds = 0;
   std::int64_t messages = 0;
-  std::int64_t peak_arena_bytes = 0;
   std::int64_t transcript_bytes = 0;
   bool completed = false;
   /// Per-stage wall-ns from a profiled twin run (zeros when none was made):
@@ -63,7 +62,6 @@ CaseResult run_case(const Graph& g, const std::function<ProgramFactory()>& make,
       best.wall_ms = ms;
       best.rounds = result.rounds;
       best.messages = result.total_messages;
-      best.peak_arena_bytes = result.peak_arena_bytes;
       best.transcript_bytes =
           writer ? static_cast<std::int64_t>(writer->bytes().size()) : 0;
       best.completed = result.completed;
@@ -272,7 +270,7 @@ int run_all(bool json, bool check_scaling) {
          "across PRs via --json (BENCH_engine.json).");
   Table table({"family", "workload", "n", "threads", "trace", "wall_ms",
                "rounds", "k_msgs", "rounds_per_s", "mmsgs_per_s",
-               "peak_arena_kb", "transcript_kb"});
+               "transcript_kb"});
   table.print_header();
   JsonRecorder out(json, "BENCH_engine.json");
   for (auto& c : build_cases()) {
@@ -285,7 +283,6 @@ int run_all(bool json, bool check_scaling) {
     table.print_row({c.family, c.workload, fmt(c.n), fmt(c.num_threads),
                      trace_name(c.trace), fmt(r.wall_ms), fmt(r.rounds),
                      fmt(r.messages / 1000), fmt(rps), fmt(mps / 1e6),
-                     fmt(r.peak_arena_bytes / 1024),
                      fmt(r.transcript_bytes / 1024)});
     out.begin_record();
     out.field("family", c.family);
@@ -298,7 +295,6 @@ int run_all(bool json, bool check_scaling) {
     out.field("messages", r.messages);
     out.field("rounds_per_sec", rps);
     out.field("messages_per_sec", mps);
-    out.field("peak_arena_bytes", r.peak_arena_bytes);
     out.field("transcript_bytes", r.transcript_bytes);
     out.field("completed", static_cast<std::int64_t>(r.completed ? 1 : 0));
   }

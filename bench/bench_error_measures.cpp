@@ -12,7 +12,7 @@
 #include "graph/properties.hpp"
 #include "mis/checkers.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/batch.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
@@ -36,9 +36,9 @@ void figure1_table() {
     Predictions hub{x};
     auto comps = mis_error_components(g, hub);
     auto [rim, map] = g.induced(comps.at(0));
+    const Predictions all_ones(std::vector<Value>(g.num_nodes(), 1));
     table.print_row({fmt(k), fmt(diameter(g)), fmt(diameter(rim)),
-                     fmt(eta1_mis(g, hub)),
-                     fmt(eta1_mis(g, all_same(g, 1)))});
+                     fmt(eta1_mis(g, hub)), fmt(eta1_mis(g, all_ones))});
   }
 }
 
@@ -59,7 +59,8 @@ void figure2_table() {
   for (NodeId side : sides) {
     Graph& g = graphs.emplace_back(make_grid(side, side));
     randomize_ids(g, rng);
-    auto pred = grid_stripe_prediction(side, side);
+    auto pred = provide_with_seed(*grid_stripe_provider(side, side), g,
+                                  ProblemKind::kMis, 0);
     runner.add(g, mis_simple_bw(), pred);
     runner.add(g, mis_simple_greedy(), pred);
     preds.push_back(std::move(pred));
@@ -84,14 +85,14 @@ void eta_comparison_table() {
   table.print_header();
   {
     Graph g = make_clique(12);
-    auto pred = all_same(g, 1);
+    auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
     table.print_row({"clique_12_all1", fmt(eta1_mis(g, pred)),
                      fmt(eta2_mis(g, pred)), fmt(eta_bw_mis(g, pred)),
                      fmt(eta_hamming_mis(g, pred)), fmt(eta_sum_mis(g, pred))});
   }
   {
     Graph g = make_star(12);
-    auto pred = all_same(g, 1);
+    auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
     table.print_row({"star_12_all1", fmt(eta1_mis(g, pred)),
                      fmt(eta2_mis(g, pred)), fmt(eta_bw_mis(g, pred)),
                      fmt(eta_hamming_mis(g, pred)), fmt(eta_sum_mis(g, pred))});
@@ -99,7 +100,7 @@ void eta_comparison_table() {
   {
     Graph g = make_clique(3);
     for (int i = 1; i < 8; ++i) g = disjoint_union(g, make_clique(3));
-    auto pred = all_same(g, 1);
+    auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
     table.print_row({"8_triangles_all1", fmt(eta1_mis(g, pred)),
                      fmt(eta2_mis(g, pred)), fmt(eta_bw_mis(g, pred)),
                      fmt(eta_hamming_mis(g, pred)), fmt(eta_sum_mis(g, pred))});
@@ -107,7 +108,7 @@ void eta_comparison_table() {
   {
     Rng rng(5);
     Graph g = make_line(20);
-    auto pred = flip_bits(g, mis_correct_prediction(g, rng), 3, rng);
+    auto pred = perturbed_provider(3)->provide(g, ProblemKind::kMis, rng);
     table.print_row({"line_20_3flips", fmt(eta1_mis(g, pred)),
                      fmt(eta2_mis(g, pred)), fmt(eta_bw_mis(g, pred)),
                      fmt(eta_hamming_mis(g, pred)), fmt(eta_sum_mis(g, pred))});
@@ -118,7 +119,7 @@ void BM_ErrorMeasureComputation(benchmark::State& state) {
   Rng rng(9);
   Graph g = make_grid(static_cast<NodeId>(state.range(0)),
                       static_cast<NodeId>(state.range(0)));
-  auto pred = flip_bits(g, mis_correct_prediction(g, rng), 10, rng);
+  auto pred = perturbed_provider(10)->provide(g, ProblemKind::kMis, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(eta1_mis(g, pred));
     benchmark::DoNotOptimize(eta_bw_mis(g, pred));

@@ -8,7 +8,7 @@
 #include "graph/generators.hpp"
 #include "mis/checkers.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
 
@@ -38,9 +38,11 @@ void print_table() {
   for (NodeId n : {60, 120}) {
     Graph g = make_line(n);
     sorted_ids(g);
-    auto base = mis_correct_prediction(g, rng);
+    const std::uint64_t seed = rng.next();  // every level shares one base
     for (int flips : {0, 1, 4, 16, n}) {
-      auto pred = flips == n ? all_same(g, 0) : flip_bits(g, base, flips, rng);
+      const ProviderPtr provider =
+          flips == n ? constant_provider(0) : perturbed_provider(flips);
+      auto pred = provide_with_seed(*provider, g, ProblemKind::kMis, seed);
       auto result = run_with_predictions(g, pred, mis_interleaved_gather());
       const int e1 = eta1_mis(g, pred);
       table.print_row({"sorted_line_" + fmt(n), fmt(flips), fmt(e1),
@@ -52,9 +54,10 @@ void print_table() {
   {
     Graph g = make_grid(10, 10);
     randomize_ids(g, rng);
-    auto base = mis_correct_prediction(g, rng);
+    const std::uint64_t seed = rng.next();  // every level shares one base
     for (int flips : {0, 4, 16, 64}) {
-      auto pred = flip_bits(g, base, flips, rng);
+      auto pred = provide_with_seed(*perturbed_provider(flips), g,
+                                    ProblemKind::kMis, seed);
       auto result = run_with_predictions(g, pred, mis_interleaved_gather());
       const int e1 = eta1_mis(g, pred);
       table.print_row({"grid_10x10", fmt(flips), fmt(e1), fmt(result.rounds),
@@ -69,7 +72,7 @@ void BM_Interleaved(benchmark::State& state) {
   Rng rng(3);
   Graph g = make_line(static_cast<NodeId>(state.range(0)));
   sorted_ids(g);
-  auto pred = all_same(g, 1);
+  auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
   int rounds = 0;
   for (auto _ : state) {
     auto result = run_with_predictions(g, pred, mis_interleaved_gather());

@@ -23,7 +23,7 @@
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
-#include "predict/generators.hpp"
+#include "graph/edits.hpp"
 #include "predict/learned.hpp"
 #include "sim/engine.hpp"
 #include "templates/epoch_problems.hpp"

@@ -21,7 +21,7 @@
 #include "matching/algorithms.hpp"
 #include "mis/algorithms.hpp"
 #include "mis/congest_global.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "random/luby.hpp"
 #include "sim/compile.hpp"
 #include "templates/mis_with_predictions.hpp"
@@ -73,8 +73,8 @@ bool sweep(bool json) {
   Rng rng2(5);
   Graph gnp24 = make_random_connected(24, 12, rng2);
 
-  const Predictions mis_pred = flip_bits(gnp100, mis_correct_prediction(gnp100, rng),
-                                         10, rng);
+  const Predictions mis_pred =
+      perturbed_provider(10)->provide(gnp100, ProblemKind::kMis, rng);
   // Matching predictions: everyone predicted unmatched — the init phase's
   // declared default dominates, the worst case for prediction quality and
   // the best case for silence-as-information.

@@ -8,7 +8,7 @@
 #include "graph/generators.hpp"
 #include "mis/checkers.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
 
@@ -17,20 +17,20 @@ namespace {
 using namespace dgap;
 using namespace dgap::benchutil;
 
-void sweep(const std::string& name, const Graph& original, Rng& rng,
-           Table& table) {
-  auto stale_run = [&](int churn) {
-    Graph updated = perturb_edges(original, churn, churn, rng);
-    auto pred = stale_mis_prediction(original, updated, rng);
-    auto result = run_with_predictions(updated, pred, mis_parallel_linial());
-    auto scratch =
-        run_with_predictions(updated, all_same(updated, 0),
-                             mis_parallel_linial());
-    table.print_row({name, fmt(churn), fmt(eta1_mis(updated, pred)),
+// `g` is the current network; the prediction is an MIS of a copy of it
+// with `churn` edges removed and `churn` added.
+void sweep(const std::string& name, const Graph& g, Rng& rng, Table& table) {
+  const auto scratch =
+      run_with_predictions(g, Predictions(std::vector<Value>(g.num_nodes(), 0)),
+                           mis_parallel_linial());
+  for (int churn : {0, 1, 2, 4, 8, 16}) {
+    auto pred = stale_graph_provider(churn, churn)->provide(
+        g, ProblemKind::kMis, rng);
+    auto result = run_with_predictions(g, pred, mis_parallel_linial());
+    table.print_row({name, fmt(churn), fmt(eta1_mis(g, pred)),
                      fmt(result.rounds), fmt(scratch.rounds),
-                     is_valid_mis(updated, result.outputs) ? "yes" : "NO"});
-  };
-  for (int churn : {0, 1, 2, 4, 8, 16}) stale_run(churn);
+                     is_valid_mis(g, result.outputs) ? "yes" : "NO"});
+  }
 }
 
 void print_table() {
@@ -61,19 +61,18 @@ void print_table() {
 
 void BM_NetworkUpdate(benchmark::State& state) {
   Rng rng(5);
-  Graph original = make_random_connected(200, 80, rng);
-  Graph updated =
-      perturb_edges(original, static_cast<int>(state.range(0)),
-                    static_cast<int>(state.range(0)), rng);
-  auto pred = stale_mis_prediction(original, updated, rng);
+  Graph g = make_random_connected(200, 80, rng);
+  const int churn = static_cast<int>(state.range(0));
+  auto pred =
+      stale_graph_provider(churn, churn)->provide(g, ProblemKind::kMis, rng);
   int rounds = 0;
   for (auto _ : state) {
-    auto result = run_with_predictions(updated, pred, mis_parallel_linial());
+    auto result = run_with_predictions(g, pred, mis_parallel_linial());
     rounds = result.rounds;
     benchmark::DoNotOptimize(result.outputs.data());
   }
   state.counters["rounds"] = rounds;
-  state.counters["eta1"] = eta1_mis(updated, pred);
+  state.counters["eta1"] = eta1_mis(g, pred);
 }
 BENCHMARK(BM_NetworkUpdate)->Arg(0)->Arg(4)->Arg(16);
 

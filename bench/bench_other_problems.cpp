@@ -14,7 +14,7 @@
 #include "matching/algorithms.hpp"
 #include "matching/checkers.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "sim/phase.hpp"
 #include "templates/problems_with_predictions.hpp"
@@ -62,9 +62,10 @@ void matching_table() {
   for (NodeId n : {60, 120}) {
     Graph g = make_line(n);
     randomize_ids(g, rng);
-    auto base = matching_correct_prediction(g, rng);
+    const std::uint64_t seed = rng.next();  // every level shares one base
     for (int breaks : {0, 1, 4, 16, n / 2}) {
-      auto pred = break_matches(g, base, breaks, rng);
+      auto pred = provide_with_seed(*perturbed_provider(breaks), g,
+                                    ProblemKind::kMatching, seed);
       auto result = run_with_predictions(g, pred, matching_with_predictions());
       const int e1 = eta1_matching(g, pred);
       table.print_row({"line_" + fmt(n), fmt(breaks), fmt(e1),
@@ -88,9 +89,10 @@ void coloring_table() {
            {"ring_100", make_ring(100)},
            {"gnp_80", make_gnp(80, 0.08, rng)}}) {
     randomize_ids(graph, rng);
-    auto base = coloring_correct_prediction(graph, rng);
+    const std::uint64_t seed = rng.next();  // every level shares one base
     for (int scrambles : {0, 2, 8, 32}) {
-      auto pred = scramble_colors(graph, base, scrambles, rng);
+      auto pred = provide_with_seed(*perturbed_provider(scrambles), graph,
+                                    ProblemKind::kColoring, seed);
       auto result =
           run_with_predictions(graph, pred, coloring_with_predictions());
       const int e1 = eta1_coloring(graph, pred);
@@ -116,9 +118,10 @@ void edge_coloring_table() {
            {"ring_60", make_ring(60)},
            {"grid_8x8", make_grid(8, 8)}}) {
     randomize_ids(graph, rng);
-    auto base = edge_coloring_correct_prediction(graph, rng);
+    const std::uint64_t seed = rng.next();  // every level shares one base
     for (int scrambles : {0, 1, 4, 16}) {
-      auto pred = scramble_edge_colors(graph, base, scrambles, rng);
+      auto pred = provide_with_seed(*perturbed_provider(scrambles), graph,
+                                    ProblemKind::kEdgeColoring, seed);
       auto result =
           run_with_predictions(graph, pred, edge_coloring_with_predictions());
       const int e1 = eta1_edge_coloring(graph, pred);
@@ -144,7 +147,7 @@ void template_matrix_table() {
     {
       Graph g = make_line(n);
       sorted_ids(g);
-      auto pred = all_same(g, kNoNode);
+      auto pred = Predictions(std::vector<Value>(g.num_nodes(), kNoNode));
       auto rs = run_with_predictions(g, pred, matching_simple_greedy());
       auto rc =
           run_with_predictions(g, pred, matching_consecutive_linegraph());
@@ -157,7 +160,8 @@ void template_matrix_table() {
     {
       Graph g = make_line(n);
       sorted_ids(g);
-      auto pred = all_same(g, 99);  // illegal colors everywhere
+      // Illegal colors everywhere.
+      auto pred = Predictions(std::vector<Value>(g.num_nodes(), 99));
       auto rs = run_with_predictions(g, pred, coloring_simple_greedy());
       auto rc = run_with_predictions(g, pred, coloring_consecutive_linial());
       auto rp = run_with_predictions(g, pred, coloring_parallel_linial());

@@ -10,7 +10,7 @@
 #include "graph/generators.hpp"
 #include "mis/checkers.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
 
@@ -21,12 +21,13 @@ using namespace dgap::benchutil;
 
 void sweep(const std::string& name, Graph g, Rng& rng, Table& table,
            bool compute_eta2) {
-  auto base = mis_correct_prediction(g, rng);
+  const std::uint64_t seed = rng.next();  // every level shares one base
   const int r1 = linial_total_rounds(g.id_bound(), g.max_degree());
   const int cap = 3 + r1 + 1 + g.max_degree() + 2 + 1;
   for (int flips : {0, 1, 2, 4, 8, 16, 64}) {
     if (flips > g.num_nodes()) break;
-    auto pred = flip_bits(g, base, flips, rng);
+    auto pred = provide_with_seed(*perturbed_provider(flips), g,
+                                  ProblemKind::kMis, seed);
     auto result = run_with_predictions(g, pred, mis_parallel_linial());
     const int e2 = compute_eta2 ? eta2_mis(g, pred) : -1;
     table.print_row(
@@ -78,7 +79,7 @@ void kw_table() {
   for (int target_delta : {4, 8, 16}) {
     Graph g = make_gnp(60, target_delta / 60.0 * 1.1, rng);
     randomize_ids(g, rng);
-    auto pred = all_same(g, 1);
+    auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
     auto rp = run_with_predictions(g, pred, mis_parallel_linial());
     auto rk = run_with_predictions(g, pred, mis_parallel_linial_kw());
     table.print_row(
@@ -91,7 +92,7 @@ void kw_table() {
     Graph g = make_hypercube(6);  // Delta = 6, n = 64
     Rng rng2(3);
     randomize_ids(g, rng2);
-    auto pred = all_same(g, 1);
+    auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
     auto rp = run_with_predictions(g, pred, mis_parallel_linial());
     auto rk = run_with_predictions(g, pred, mis_parallel_linial_kw());
     table.print_row(
@@ -105,7 +106,7 @@ void kw_table() {
 void BM_ParallelVsGreedyWorstCase(benchmark::State& state) {
   Graph g = make_line(static_cast<NodeId>(state.range(0)));
   sorted_ids(g);
-  auto pred = all_same(g, 1);
+  auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
   int rounds = 0;
   for (auto _ : state) {
     auto result = run_with_predictions(g, pred, mis_parallel_linial());

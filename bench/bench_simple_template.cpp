@@ -8,7 +8,7 @@
 #include "graph/generators.hpp"
 #include "mis/checkers.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
 
@@ -18,10 +18,11 @@ using namespace dgap;
 using namespace dgap::benchutil;
 
 void sweep(const std::string& name, Graph g, Rng& rng, Table& table) {
-  auto base = mis_correct_prediction(g, rng);
+  const std::uint64_t seed = rng.next();  // every level shares one base
   for (int flips : {0, 1, 2, 4, 8, 16, 32}) {
     if (flips > g.num_nodes()) break;
-    auto pred = flip_bits(g, base, flips, rng);
+    auto pred = provide_with_seed(*perturbed_provider(flips), g,
+                                  ProblemKind::kMis, seed);
     auto result = run_with_predictions(g, pred, mis_simple_greedy());
     const int e1 = eta1_mis(g, pred);
     const int e2 = g.num_nodes() <= 128 ? eta2_mis(g, pred) : -1;
@@ -66,8 +67,8 @@ void BM_SimpleTemplate(benchmark::State& state) {
   Rng rng(11);
   Graph g = make_grid(10, 10);
   randomize_ids(g, rng);
-  auto pred = flip_bits(g, mis_correct_prediction(g, rng),
-                        static_cast<int>(state.range(0)), rng);
+  const int errors = static_cast<int>(state.range(0));
+  auto pred = perturbed_provider(errors)->provide(g, ProblemKind::kMis, rng);
   int rounds = 0;
   for (auto _ : state) {
     auto result = run_with_predictions(g, pred, mis_simple_greedy());

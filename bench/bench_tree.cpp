@@ -8,7 +8,7 @@
 #include "graph/generators.hpp"
 #include "mis/checkers.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
 #include "tree/gps.hpp"
@@ -20,13 +20,14 @@ using namespace dgap::benchutil;
 
 void sweep(const std::string& name, const RootedTree& t, Rng& rng,
            Table& table) {
-  auto base = mis_correct_prediction(t.graph, rng);
+  const std::uint64_t seed = rng.next();  // every level shares one base
   const int cap = 4 + gps_total_rounds(t.graph.id_bound()) + 1 + 2 + 1;
   for (int flips : {0, 2, 8, 32, static_cast<int>(t.graph.num_nodes())}) {
     if (flips > t.graph.num_nodes()) break;
-    auto pred = flips == t.graph.num_nodes()
-                    ? all_same(t.graph, 0)
-                    : flip_bits(t.graph, base, flips, rng);
+    const ProviderPtr provider = flips == t.graph.num_nodes()
+                                     ? constant_provider(0)
+                                     : perturbed_provider(flips);
+    auto pred = provide_with_seed(*provider, t.graph, ProblemKind::kMis, seed);
     auto simple = run_with_predictions(t.graph, pred, tree_mis_simple(t));
     auto parallel = run_with_predictions(t.graph, pred, tree_mis_parallel(t));
     const int et = eta_t_mis(t, pred);
@@ -92,7 +93,8 @@ void BM_TreeParallel(benchmark::State& state) {
   RootedTree t =
       make_rooted_random_tree(static_cast<NodeId>(state.range(0)), rng);
   randomize_ids(t.graph, rng);
-  auto pred = all_same(t.graph, 0);  // adversarial
+  // Adversarial.
+  auto pred = Predictions(std::vector<Value>(t.graph.num_nodes(), 0));
   int rounds = 0;
   for (auto _ : state) {
     auto result = run_with_predictions(t.graph, pred, tree_mis_parallel(t));

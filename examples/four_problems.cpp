@@ -15,7 +15,7 @@
 #include "matching/checkers.hpp"
 #include "mis/checkers.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "sim/phase.hpp"
 #include "templates/mis_with_predictions.hpp"
@@ -51,7 +51,7 @@ int main() {
         errors == 0 ? "correct" : (errors == 5 ? "5 errors" : "40 errors");
     {
       auto pred =
-          flip_bits(g, mis_correct_prediction(g, rng), errors, rng);
+          perturbed_provider(errors)->provide(g, ProblemKind::kMis, rng);
       auto r = run_with_predictions(g, pred, mis_simple_greedy());
       std::printf("%-18s %-12s %-7d %-8d %s\n", "MIS", label,
                   eta1_mis(g, pred), r.rounds,
@@ -59,7 +59,7 @@ int main() {
     }
     {
       auto pred =
-          break_matches(g, matching_correct_prediction(g, rng), errors, rng);
+          perturbed_provider(errors)->provide(g, ProblemKind::kMatching, rng);
       auto r = run_with_predictions(
           g, pred, pipeline(make_matching_init(), make_greedy_matching()));
       std::printf("%-18s %-12s %-7d %-8d %s\n", "MaximalMatching", label,
@@ -68,7 +68,7 @@ int main() {
     }
     {
       auto pred =
-          scramble_colors(g, coloring_correct_prediction(g, rng), errors, rng);
+          perturbed_provider(errors)->provide(g, ProblemKind::kColoring, rng);
       auto r = run_with_predictions(
           g, pred, pipeline(make_coloring_init(), make_greedy_coloring()));
       std::printf("%-18s %-12s %-7d %-8d %s\n", "(D+1)-VertexCol", label,
@@ -77,8 +77,8 @@ int main() {
                                                                       : "NO");
     }
     {
-      auto pred = scramble_edge_colors(
-          g, edge_coloring_correct_prediction(g, rng), errors, rng);
+      auto pred = perturbed_provider(errors)->provide(
+          g, ProblemKind::kEdgeColoring, rng);
       auto r = run_with_predictions(
           g, pred,
           pipeline(make_edge_coloring_base(), make_greedy_edge_coloring()));

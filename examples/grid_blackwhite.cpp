@@ -9,7 +9,7 @@
 #include "graph/generators.hpp"
 #include "mis/checkers.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
 
@@ -39,7 +39,8 @@ int main() {
   Graph g = make_grid(w, h);
   Rng rng(3);
   randomize_ids(g, rng);
-  auto pred = grid_stripe_prediction(w, h);
+  auto pred =
+      provide_with_seed(*grid_stripe_provider(w, h), g, ProblemKind::kMis, 0);
 
   draw("predictions (# = predicted in the set):", w, h, pred.node_values(), 1);
 

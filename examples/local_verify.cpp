@@ -9,7 +9,6 @@
 #include "common/rng.hpp"
 #include "graph/exact.hpp"
 #include "graph/generators.hpp"
-#include "predict/generators.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
 #include "verify/local_verifier.hpp"

@@ -12,10 +12,11 @@
 #include <cstdio>
 
 #include "common/rng.hpp"
+#include "graph/edits.hpp"
 #include "graph/generators.hpp"
 #include "mis/checkers.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
 
@@ -29,14 +30,14 @@ int main() {
   const int kChurn = 6;  // edges removed + added per epoch
 
   // Epoch 0: no prior knowledge — run with garbage predictions.
-  Predictions current = all_same(g, 0);
+  const Predictions garbage(std::vector<Value>(g.num_nodes(), 0));
+  Predictions current = garbage;
   std::printf("%-7s %-7s %-9s %-14s %-14s %s\n", "epoch", "churn", "eta1",
               "rounds_reuse", "rounds_blind", "valid");
   long long total_reuse = 0, total_blind = 0;
   for (int epoch = 0; epoch < kEpochs; ++epoch) {
     auto reuse = run_with_predictions(g, current, mis_parallel_linial());
-    auto blind =
-        run_with_predictions(g, all_same(g, 0), mis_parallel_linial());
+    auto blind = run_with_predictions(g, garbage, mis_parallel_linial());
     total_reuse += reuse.rounds;
     total_blind += blind.rounds;
     std::printf("%-7d %-7d %-9d %-14d %-14d %s\n", epoch,

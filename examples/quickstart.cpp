@@ -12,7 +12,7 @@
 #include "graph/generators.hpp"
 #include "mis/checkers.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
 
@@ -41,19 +41,24 @@ int main() {
   std::printf("graph: 8x8 grid, n=%d, Delta=%d, d=%lld\n\n", g.num_nodes(),
               g.max_degree(), static_cast<long long>(g.id_bound()));
 
+  // Every prediction comes from a provider. With one seed, the perturbed
+  // ones corrupt the same correct solution the exact one returns.
+  auto predict = [&g](const ProviderPtr& provider) {
+    return provide_with_seed(*provider, g, ProblemKind::kMis, 2);
+  };
+
   // 1. Perfect predictions: the initialization algorithm confirms them in
   //    3 rounds (consistency).
-  auto correct = mis_correct_prediction(g, rng);
-  run_one("correct", g, correct);
+  run_one("correct", g, predict(exact_provider()));
 
   // 2. A few wrong bits: rounds degrade linearly with the error, not with
   //    the graph size.
-  run_one("4 flipped bits", g, flip_bits(g, correct, 4, rng));
-  run_one("12 flipped bits", g, flip_bits(g, correct, 12, rng));
+  run_one("4 flipped bits", g, predict(perturbed_provider(4)));
+  run_one("12 flipped bits", g, predict(perturbed_provider(12)));
 
   // 3. Garbage predictions: the reference algorithm caps the damage.
-  run_one("all ones (garbage)", g, all_same(g, 1));
-  run_one("all zeros (garbage)", g, all_same(g, 0));
+  run_one("all ones (garbage)", g, predict(constant_provider(1)));
+  run_one("all zeros (garbage)", g, predict(constant_provider(0)));
 
   std::printf(
       "\nTakeaway: rounds ~ min{eta2 + 4, O(Delta^2 + log* d)} — fast when "

@@ -8,7 +8,7 @@
 #include "graph/generators.hpp"
 #include "mis/checkers.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
 #include "tree/gps.hpp"
@@ -46,10 +46,11 @@ int main() {
               gps_tree_mis_total_rounds(t.graph.id_bound()));
   std::printf("%-9s %-7s %-7s %-9s %-11s %s\n", "flips", "eta1", "eta_t",
               "simple", "parallel", "valid");
-  auto base = mis_correct_prediction(t.graph, rng);
+  // One seed for every level: each corrupts the same correct solution.
   for (int flips : {0, 2, 8, 32, 128, 300}) {
-    auto pred =
-        flips == 300 ? all_same(t.graph, 0) : flip_bits(t.graph, base, flips, rng);
+    const ProviderPtr provider =
+        flips == 300 ? constant_provider(0) : perturbed_provider(flips);
+    auto pred = provide_with_seed(*provider, t.graph, ProblemKind::kMis, 12);
     auto simple = run_with_predictions(t.graph, pred, tree_mis_simple(t));
     auto parallel = run_with_predictions(t.graph, pred, tree_mis_parallel(t));
     std::printf("%-9d %-7d %-7d %-9d %-11d %s\n", flips,

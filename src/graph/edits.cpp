@@ -196,4 +196,36 @@ EditBatch ChurnSpec::generate(const Graph& g, int epoch) const {
   return batch;
 }
 
+Graph perturb_edges(const Graph& g, int remove_edges, int add_edges,
+                    Rng& rng) {
+  auto edges = g.edges();
+  rng.shuffle(edges);
+  const std::size_t keep_from = std::min(
+      edges.size(), static_cast<std::size_t>(std::max(remove_edges, 0)));
+  edges.erase(edges.begin(),
+              edges.begin() + static_cast<std::ptrdiff_t>(keep_from));
+  const NodeId n = g.num_nodes();
+  std::unordered_set<std::uint64_t> present;
+  const auto key = [n](NodeId u, NodeId v) {
+    return static_cast<std::uint64_t>(std::min(u, v)) *
+               static_cast<std::uint64_t>(n) +
+           static_cast<std::uint64_t>(std::max(u, v));
+  };
+  for (const auto& [u, v] : edges) present.insert(key(u, v));
+  int added = 0;
+  int attempts = 0;
+  while (added < add_edges && attempts < 100 * (add_edges + 1) && n >= 2) {
+    ++attempts;
+    NodeId u = static_cast<NodeId>(rng.next_below(n));
+    NodeId v = static_cast<NodeId>(rng.next_below(n));
+    if (u == v || !present.insert(key(u, v)).second) continue;
+    edges.emplace_back(u, v);
+    ++added;
+  }
+  Graph out(n, edges);
+  out.set_ids(g.ids());
+  out.set_id_bound(g.id_bound());
+  return out;
+}
+
 }  // namespace dgap

@@ -13,7 +13,8 @@
 //
 // ChurnSpec generates deterministic random edit batches (all randomness
 // through dgap::Rng from the spec's seed and the epoch number), the raw
-// material of the epoch harness in sim/epoch.hpp.
+// material of the epoch harness in sim/epoch.hpp. perturb_edges() is the
+// index-preserving edge-only variant: same node set, random edges swapped.
 #pragma once
 
 #include <cstdint>
@@ -67,5 +68,11 @@ struct ChurnSpec {
 
   EditBatch generate(const Graph& g, int epoch) const;
 };
+
+/// Perturb a graph but keep its node set: remove `remove_edges` random
+/// edges and add `add_edges` random non-edges. Identifiers and the
+/// identifier bound carry over unchanged, so node v of the result is node
+/// v of `g` (the related-network scenario of stale_graph_provider).
+Graph perturb_edges(const Graph& g, int remove_edges, int add_edges, Rng& rng);
 
 }  // namespace dgap

@@ -7,7 +7,6 @@
 
 #include "common/require.hpp"
 #include "graph/exact.hpp"
-#include "predict/generators.hpp"
 
 namespace dgap {
 namespace {

@@ -17,13 +17,24 @@
 //     seed) instead of hashing the materialized prediction vector — see
 //     provider_slot_digest() in sim/result_cache.hpp.
 //
-// Adapters below wrap every existing source: the synthetic generators
-// (predict/generators.hpp), the stale-graph scenario of Section 1.1, and
-// the epoch warm-start adapters (predict/warm_start.hpp). The learned
-// backend lives in predict/learned.hpp. Providers are a CONSTRUCTION-TIME
-// layer: they run before the engine does, so wrapping a source in a
-// provider never changes engine behavior (the golden transcripts pin
-// this).
+// This is the only public way to make a prediction. The bundled
+// providers below cover the paper's three regimes — correct solutions
+// (consistency), controlled corruptions of them (degradation) and
+// adversarial constants (robustness) — plus Figure 2's striped grid, the
+// stale-graph scenario of Section 1.1 and the epoch warm start. Their
+// solution builders and corruptors are private to provider.cpp; a new
+// problem adds a case to its correct_prediction / perturbed_prediction
+// switch. The learned backend lives in predict/learned.hpp. Providers
+// are a CONSTRUCTION-TIME layer: they run before the engine does, so
+// wrapping a source in a provider never changes engine behavior (the
+// golden transcripts pin this).
+//
+// Sweeps: perturbed_provider(k) draws its base solution first, so with
+// one seed every level k shares the exact base and its errors are
+// nested — every position that differs from exact_provider() at level k
+// still differs, with the same value, at every larger k. A degradation
+// sweep therefore calls provide_with_seed(*perturbed_provider(k), g,
+// kind, seed) with one seed for all levels.
 #pragma once
 
 #include <cstdint>
@@ -74,12 +85,17 @@ ProviderPtr neutral_provider();
 ProviderPtr constant_provider(Value value);
 
 /// A correct solution computed greedily in a random order (consistency
-/// regime): mis/matching/coloring/edge_coloring_correct_prediction.
+/// regime): a maximal independent set, partner identifiers of a maximal
+/// matching (⊥ when unmatched), a (Δ+1)-coloring, or a (2Δ−1)-edge
+/// coloring.
 ProviderPtr exact_provider();
 
 /// A correct solution with `errors` controlled corruptions (degradation
-/// regime): flip_bits / break_matches / scramble_colors /
-/// scramble_edge_colors on top of the exact source, same rng stream.
+/// regime), drawn after the exact source on the same rng stream: MIS
+/// flips min(errors, n) distinct bits; matching reverts both endpoints of
+/// `errors` random matched pairs to ⊥; coloring re-colors `errors` random
+/// nodes, and edge coloring `errors` random edges (on both endpoints),
+/// with random palette colors that may clash.
 ProviderPtr perturbed_provider(int errors);
 
 /// Figure 2's 4-stripe pattern on a w×h grid (MIS only; the graph must
@@ -93,7 +109,10 @@ ProviderPtr stale_graph_provider(int remove_edges, int add_edges);
 
 /// The epoch warm start: `prev_outputs` (one per node of `prev`, the
 /// problem's output encoding) translated onto the served graph by
-/// identifier via predict/warm_start.hpp. Deterministic; ignores rng.
+/// identifier. A surviving node inherits its own old output; a node
+/// inserted since gets the kind's neutral value, and so does a stale
+/// output (a matching partner that no longer exists, or any value outside
+/// the kind's encoding). Deterministic; ignores rng.
 /// Node-valued kinds only. The digest covers `prev`'s identifiers and
 /// the outputs, so distinct histories never collide.
 ProviderPtr warm_start_provider(Graph prev, std::vector<Value> prev_outputs);

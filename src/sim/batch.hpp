@@ -9,7 +9,7 @@
 // come back in submission order regardless of completion order.
 //
 // Determinism contract: every deterministic RunResult field (everything
-// except `wall_ms` and the capacity-dependent `peak_arena_bytes`) is
+// except the host measurements `wall_ms` and `phase_ns`) is
 // bit-identical to running the same jobs serially in a loop, for any
 // worker count and any submission order. The engine itself is
 // deterministic per job, jobs share no mutable state (a job's factory
@@ -165,7 +165,7 @@ std::vector<RunResult> take_results(std::vector<BatchResult>&& results);
 /// FNV-1a checksum over the deterministic fields of a result (everything
 /// reproducible from (graph, predictions, factory, options): rounds,
 /// outputs, termination rounds, message/word/link counters — excluding
-/// wall_ms and peak_arena_bytes). Equal checksums across serial and batch
+/// wall_ms and phase_ns). Equal checksums across serial and batch
 /// executions are the cheap bit-identity witness benches and CI diff.
 std::uint64_t result_checksum(const RunResult& result);
 std::uint64_t results_checksum(std::span<const RunResult> results);

@@ -505,15 +505,12 @@ void Engine::deliver_round_messages() {
   const bool route = S > 1;
   const bool enforce = link_ != nullptr;
 
-  // Per-sender-shard global index bases and the arena high-water mark.
-  std::size_t arena_words = 0;
+  // Per-sender-shard global index bases.
   s_.send_base[0] = 0;
   for (std::size_t k = 0; k < S; ++k) {
     s_.send_base[k + 1] =
         s_.send_base[k] + static_cast<std::uint32_t>(s_.shards[k].sends.size());
-    arena_words += s_.shards[k].arena.size();
   }
-  peak_arena_words_ = std::max(peak_arena_words_, arena_words);
   if (s_.send_base[S] == 0 && !enforce) {
     s_.touched_receivers.clear();  // a silent round delivers nothing
     return;
@@ -1024,8 +1021,6 @@ RunResult Engine::run() {
   }
   acct_.fold_into(result);
   if (link_) link_->export_metrics(result);
-  result.peak_arena_bytes =
-      static_cast<std::int64_t>(peak_arena_words_ * sizeof(Value));
   if (sink_) sink_->on_run_end(result);
   result.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - t0)

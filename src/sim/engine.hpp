@@ -527,9 +527,6 @@ struct RunResult {
   /// from determinism comparisons and never part of a transcript. The
   /// per-round deltas stream through TraceSink::on_round_profile.
   PhaseProfile phase_ns;
-  /// High-water mark of per-round message-payload arena usage, in bytes.
-  /// Plateaus once the arena reaches steady state (no per-round allocation).
-  std::int64_t peak_arena_bytes = 0;
 };
 
 namespace detail {
@@ -653,7 +650,6 @@ class Engine {
   // Bandwidth scheduler; only constructed under kDefer, so the default
   // (kCount) data plane is untouched by the link layer.
   std::unique_ptr<detail::LinkLayer> link_;
-  std::size_t peak_arena_words_ = 0;
 
   // --- trace spine (sim/trace.hpp). sink_ is EngineOptions::trace_sink;
   // when it is null the round loop tests one pointer and makes no virtual

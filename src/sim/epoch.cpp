@@ -222,7 +222,7 @@ class Reader {
   }
 
   std::vector<std::uint8_t> blob(std::uint64_t len) {
-    DGAP_REQUIRE(pos_ + len <= bytes_.size(), "epoch sequence truncated");
+    DGAP_REQUIRE(len <= bytes_.size() - pos_, "epoch sequence truncated");
     std::vector<std::uint8_t> out(bytes_.begin() + static_cast<std::ptrdiff_t>(pos_),
                                   bytes_.begin() +
                                       static_cast<std::ptrdiff_t>(pos_ + len));
@@ -280,6 +280,8 @@ EpochSequence decode_epoch_sequence(std::span<const std::uint8_t> bytes) {
   const auto label_bytes = r.blob(label_len);
   seq.label.assign(label_bytes.begin(), label_bytes.end());
   const std::uint32_t count = r.u32();
+  // Every epoch carries at least its 8-byte length.
+  DGAP_REQUIRE(count <= (r.size() - r.pos()) / 8, "epoch sequence truncated");
   seq.epochs.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint64_t len = r.u64();

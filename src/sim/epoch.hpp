@@ -5,8 +5,8 @@
 // EpochHarness runs that scenario end-to-end, repeatedly: a graph evolves
 // through deterministic edit batches (graph/edits.hpp — identifier-stable
 // churn), a prediction-augmented template runs every epoch, and epoch k
-// warm-starts from epoch k−1's output translated onto the new graph by the
-// problem's warm-start adapter (predict/warm_start.hpp). Each epoch also
+// warm-starts from epoch k−1's output translated onto the new graph by
+// identifier (warm_start_provider, predict/provider.hpp). Each epoch also
 // runs a FROM-SCRATCH CONTROL — the same template with the problem's
 // trivial prediction — so the measured quantity is exactly the paper's
 // claim: amortized rounds/messages per epoch with warm starts vs without.
@@ -16,10 +16,9 @@
 // error measure η, its degradation bound, and the validity checker
 // (assemblies for MIS / matching / coloring live in
 // templates/epoch_problems.hpp, above this layer). Warm starts need no
-// per-problem adapter anymore: the harness wraps epoch k−1's outputs in
-// a warm_start_provider (predict/provider.hpp), and the provider's
-// digest — not a hash of the materialized prediction — content-addresses
-// the run, so a cache HIT skips prediction materialization entirely.
+// per-problem adapter: the harness wraps epoch k−1's outputs in a
+// warm_start_provider, and the provider's digest — not a hash of the
+// materialized prediction — content-addresses the run, so a cache HIT skips prediction materialization entirely.
 //
 // Execution is deterministic and cacheable. Each epoch's jobs run on the
 // harness's BatchRunner (engines single-threaded, per the batch contract;

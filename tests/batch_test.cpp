@@ -17,7 +17,7 @@
 #include "graph/generators.hpp"
 #include "mis/algorithms.hpp"
 #include "mis/checkers.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "random/luby.hpp"
 #include "sim/batch.hpp"
 #include "sim/compile.hpp"
@@ -49,10 +49,10 @@ std::vector<SweepCase> sweep_cases(GraphCache& cache) {
   int salt = 0;
   for (const GraphSpec& spec : specs) {
     auto g = cache.get(spec);
-    Rng rng(100 + salt);
-    auto base = mis_correct_prediction(*g, rng);
+    const auto seed = static_cast<std::uint64_t>(100 + salt);
     for (int flips : {0, 3, 9}) {
-      auto pred = flip_bits(*g, base, flips, rng);
+      auto pred = provide_with_seed(*perturbed_provider(flips), *g,
+                                    ProblemKind::kMis, seed);
       for (auto make : algos) {
         EngineOptions opt;
         opt.compile.cache_resends = (salt % 2 == 0);
@@ -139,7 +139,7 @@ TEST(Batch, SpecJobsMatchBorrowedGraphJobs) {
       GraphSpec::gnp(18, 0.25, /*seed=*/3, GraphSpec::IdPolicy::kRandomized);
   const Graph g = spec.build();
   Rng rng(5);
-  auto pred = flip_bits(g, mis_correct_prediction(g, rng), 4, rng);
+  auto pred = perturbed_provider(4)->provide(g, ProblemKind::kMis, rng);
 
   BatchRunner runner({2});
   runner.add(spec, mis_simple_greedy(), pred);

@@ -5,7 +5,7 @@
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "sim/phase.hpp"
 
@@ -62,7 +62,7 @@ TEST(GreedyColoring, RoundBoundIsComponentSize) {
 TEST(ColoringBasePhase, CorrectPredictionsOutputInTwoRounds) {
   Rng rng(3);
   Graph g = make_grid(4, 4);
-  auto pred = coloring_correct_prediction(g, rng);
+  auto pred = exact_provider()->provide(g, ProblemKind::kColoring, rng);
   auto result = run_with_predictions(g, pred,
                                      phase_as_algorithm(make_coloring_base()));
   EXPECT_EQ(result.rounds, kColoringBaseRounds);
@@ -76,8 +76,9 @@ TEST(ColoringBasePhase, MatchesAnalyticStatus) {
   for (int trial = 0; trial < 20; ++trial) {
     Graph g = make_gnp(15, 0.3, rng);
     randomize_ids(g, rng);
-    auto pred = scramble_colors(g, coloring_correct_prediction(g, rng),
-                                static_cast<int>(rng.next_below(8)), rng);
+    const int errors = static_cast<int>(rng.next_below(8));
+    auto pred =
+        perturbed_provider(errors)->provide(g, ProblemKind::kColoring, rng);
     auto result = run_with_predictions(
         g, pred, phase_as_algorithm(make_coloring_base()));
     auto status = coloring_base_status(g, pred);
@@ -107,8 +108,9 @@ TEST(ColoringInitPhase, ContainsBaseDecisions) {
   for (int trial = 0; trial < 15; ++trial) {
     Graph g = make_gnp(14, 0.3, rng);
     randomize_ids(g, rng);
-    auto pred = scramble_colors(g, coloring_correct_prediction(g, rng),
-                                static_cast<int>(rng.next_below(8)), rng);
+    const int errors = static_cast<int>(rng.next_below(8));
+    auto pred =
+        perturbed_provider(errors)->provide(g, ProblemKind::kColoring, rng);
     auto base = run_with_predictions(
         g, pred, phase_as_algorithm(make_coloring_base()));
     auto init = run_with_predictions(
@@ -130,7 +132,7 @@ TEST(GreedyColoring, CompletesAPartialColoringAfterInit) {
   for (int trial = 0; trial < 15; ++trial) {
     Graph g = make_gnp(14, 0.3, rng);
     randomize_ids(g, rng);
-    auto pred = scramble_colors(g, coloring_correct_prediction(g, rng), 6, rng);
+    auto pred = perturbed_provider(6)->provide(g, ProblemKind::kColoring, rng);
     auto factory = phase_as_algorithm([](NodeId) {
       std::vector<std::unique_ptr<PhaseProgram>> phases;
       phases.push_back(std::make_unique<ColoringInitPhase>());

@@ -27,7 +27,7 @@
 #include "matching/checkers.hpp"
 #include "mis/algorithms.hpp"
 #include "mis/checkers.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/compile.hpp"
 #include "sim/transcript.hpp"
 #include "templates/mis_with_predictions.hpp"
@@ -65,8 +65,10 @@ const Equiv kEquivCases[] = {
 TEST(CompileEquivalence, IdenticalOutputsAndKRoundsTranscriptAcrossThreads) {
   Rng rng(11);
   Graph g = make_random_connected(40, 30, rng);
-  const Predictions mis_pred = flip_bits(g, mis_correct_prediction(g, rng), 6, rng);
-  const Predictions match_pred = matching_correct_prediction(g, rng);
+  const Predictions mis_pred =
+      perturbed_provider(6)->provide(g, ProblemKind::kMis, rng);
+  const Predictions match_pred =
+      exact_provider()->provide(g, ProblemKind::kMatching, rng);
 
   for (const Equiv& c : kEquivCases) {
     SCOPED_TRACE(c.name);
@@ -263,8 +265,8 @@ TEST(CompileHazards, SuppressedResendMeetsTerminatingNeighbor) {
 TEST(CompileHazards, CompiledTemplatesMatchUncompiledAtEveryCut) {
   Rng rng(15);
   Graph g = make_gnp(14, 0.25, rng);
-  auto mis_pred = flip_bits(g, mis_correct_prediction(g, rng), 4, rng);
-  auto match_pred = matching_correct_prediction(g, rng);
+  auto mis_pred = perturbed_provider(4)->provide(g, ProblemKind::kMis, rng);
+  auto match_pred = exact_provider()->provide(g, ProblemKind::kMatching, rng);
 
   struct Case {
     const char* name;

@@ -9,7 +9,7 @@
 #include "mis/checkers.hpp"
 #include "mis/congest_global.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
 
@@ -78,13 +78,17 @@ TEST(CongestGlobal, ConsecutiveTemplateAssembly) {
   for (int trial = 0; trial < 10; ++trial) {
     Graph g = make_gnp(12, 0.25, rng);
     randomize_ids(g, rng);
-    auto correct = mis_correct_prediction(g, rng);
+    // One seed: `bad` is `correct` with 6 bits flipped.
+    const std::uint64_t seed = rng.next();
+    auto correct =
+        provide_with_seed(*exact_provider(), g, ProblemKind::kMis, seed);
     // Consistency.
     auto rc = run_with_predictions(g, correct, mis_consecutive_congest());
     EXPECT_TRUE(is_valid_mis(g, rc.outputs));
     EXPECT_EQ(rc.rounds, 3);
     // Degradation + robustness under errors.
-    auto bad = flip_bits(g, correct, 6, rng);
+    auto bad =
+        provide_with_seed(*perturbed_provider(6), g, ProblemKind::kMis, seed);
     auto rb = run_with_predictions(g, bad, mis_consecutive_congest());
     EXPECT_TRUE(is_valid_mis(g, rb.outputs)) << check_mis(g, rb.outputs);
     const int e1 = eta1_mis(g, bad);

@@ -8,7 +8,7 @@
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "sim/phase.hpp"
 
@@ -75,7 +75,7 @@ TEST(GreedyEdgeColoring, IsolatedNodesTerminateImmediately) {
 TEST(EdgeColoringBasePhase, CorrectPredictionsColorEverythingInOneRound) {
   Rng rng(3);
   Graph g = make_grid(4, 3);
-  auto pred = edge_coloring_correct_prediction(g, rng);
+  auto pred = exact_provider()->provide(g, ProblemKind::kEdgeColoring, rng);
   auto result = run_with_predictions(
       g, pred, phase_as_algorithm(make_edge_coloring_base()));
   EXPECT_EQ(result.rounds, 1);  // consistency 1 (Section 8.3)
@@ -88,9 +88,9 @@ TEST(EdgeColoringBasePhase, MatchesAnalyticColoredSet) {
   for (int trial = 0; trial < 15; ++trial) {
     Graph g = make_gnp(12, 0.3, rng);
     randomize_ids(g, rng);
-    auto pred = scramble_edge_colors(
-        g, edge_coloring_correct_prediction(g, rng),
-        static_cast<int>(rng.next_below(6)), rng);
+    const int errors = static_cast<int>(rng.next_below(6));
+    auto pred =
+        perturbed_provider(errors)->provide(g, ProblemKind::kEdgeColoring, rng);
     auto result = run_with_predictions(
         g, pred, phase_as_algorithm(make_edge_coloring_base()));
     auto colored = edge_coloring_base_colored(g, pred);
@@ -116,9 +116,9 @@ TEST(EdgeColoring, BasePlusGreedyCompletes) {
   for (int trial = 0; trial < 15; ++trial) {
     Graph g = make_gnp(12, 0.3, rng);
     randomize_ids(g, rng);
-    auto pred = scramble_edge_colors(
-        g, edge_coloring_correct_prediction(g, rng),
-        static_cast<int>(rng.next_below(8)), rng);
+    const int errors = static_cast<int>(rng.next_below(8));
+    auto pred =
+        perturbed_provider(errors)->provide(g, ProblemKind::kEdgeColoring, rng);
     auto factory = phase_as_algorithm([](NodeId) {
       std::vector<std::unique_ptr<PhaseProgram>> phases;
       phases.push_back(std::make_unique<EdgeColoringBasePhase>());

@@ -38,9 +38,8 @@ namespace dgap {
 namespace {
 
 /// Everything in RunResult except the host-clock measurements (wall_ms and
-/// phase_ns, explicitly excluded from the determinism contract) and
-/// peak_arena_bytes (capacity growth may differ across thread counts; the
-/// *contents* may not). The suppression split is compared exactly: the
+/// phase_ns, explicitly excluded from the determinism contract). The
+/// suppression split is compared exactly: the
 /// per-receiver-shard accounts must merge to the same counters at every
 /// thread count.
 void expect_identical(const RunResult& a, const RunResult& b) {

@@ -13,6 +13,7 @@
 //      deleted nodes are dropped, not passed through.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -20,9 +21,10 @@
 
 #include "cases.hpp"
 #include "graph/edits.hpp"
-#include "predict/generators.hpp"
-#include "predict/warm_start.hpp"
+#include "graph/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/epoch.hpp"
+#include "sim/result_cache.hpp"
 #include "templates/epoch_problems.hpp"
 
 namespace dgap {
@@ -165,19 +167,59 @@ TEST(EpochSequenceContainer, RoundTripAndCorruptionGuards) {
   EXPECT_EQ(seq.label, "roundtrip");
   EXPECT_EQ(seq.epochs, blobs);
 
-  // Any flipped byte breaks the trailing checksum.
-  for (std::size_t i : {std::size_t{5}, bytes.size() / 2, bytes.size() - 1}) {
-    std::vector<std::uint8_t> bad = bytes;
-    bad[i] ^= 0x40;
-    EXPECT_THROW(decode_epoch_sequence(bad), std::invalid_argument) << i;
+  // Every single-byte flip and every truncation is a structural error,
+  // never UB (asan/ubsan in CI).
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (const std::uint8_t flip : {std::uint8_t{0x01}, std::uint8_t{0x80}}) {
+      std::vector<std::uint8_t> bad = bytes;
+      bad[i] ^= flip;
+      EXPECT_THROW(decode_epoch_sequence(bad), std::invalid_argument)
+          << "corrupt byte " << i << " (^" << int(flip) << ") decoded";
+    }
   }
-  // Truncation and foreign magic are structural errors, not UB.
-  std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + 9);
-  EXPECT_THROW(decode_epoch_sequence(cut), std::invalid_argument);
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    const std::vector<std::uint8_t> cut(
+        bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_THROW(decode_epoch_sequence(cut), std::invalid_argument)
+        << "prefix of " << len << " bytes decoded";
+  }
   std::vector<std::uint8_t> foreign = bytes;
   foreign[0] = 'X';
   EXPECT_FALSE(is_epoch_sequence(foreign));
   EXPECT_THROW(decode_epoch_sequence(foreign), std::invalid_argument);
+}
+
+TEST(EpochSequenceContainer, ForgedLengthsWithValidChecksumFailCleanly) {
+  // The checksum catches accidental damage; a forged container re-signs
+  // its body, so the framing itself must reject impossible lengths.
+  const std::vector<std::uint8_t> bytes =
+      encode_epoch_sequence("forged", {{1, 2, 3}, {4}});
+  const auto resign = [](std::vector<std::uint8_t> body) {
+    const std::uint64_t h = fnv1a_bytes(body);
+    for (int b = 0; b < 8; ++b) {
+      body.push_back(static_cast<std::uint8_t>((h >> (8 * b)) & 0xffU));
+    }
+    return body;
+  };
+  const std::vector<std::uint8_t> body(bytes.begin(), bytes.end() - 8);
+  ASSERT_EQ(decode_epoch_sequence(resign(body)).epochs.size(), 2u);
+  // Header layout: magic(4) version(4) label_len(4) label(6) count(4),
+  // then the first epoch's u64 length. Each field becomes a value far
+  // past the container; all-ones lengths would wrap a naive bound check.
+  struct Field {
+    std::size_t at;
+    std::size_t width;
+  };
+  for (const Field field : {Field{8, 4}, Field{18, 4}, Field{22, 8}}) {
+    for (const std::uint8_t fill : {std::uint8_t{0x7f}, std::uint8_t{0xff}}) {
+      std::vector<std::uint8_t> forged = body;
+      std::fill_n(forged.begin() + static_cast<std::ptrdiff_t>(field.at),
+                  field.width, fill);
+      EXPECT_THROW(decode_epoch_sequence(resign(forged)),
+                   std::invalid_argument)
+          << "field at byte " << field.at << " filled with " << int(fill);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -220,11 +262,13 @@ TEST(EpochResultCache, HitsAreBitIdenticalToForcedRecompute) {
 TEST(EpochResultCache, DistinctPredictionsNeverCollide) {
   const Graph g = GraphSpec::gnp(24, 0.15, 9).build();
   std::vector<Predictions> preds;
-  preds.push_back(all_same(g, 0));
-  preds.push_back(all_same(g, 1));
-  for (int flip = 0; flip < 8; ++flip) {
-    Rng rng(static_cast<std::uint64_t>(flip) + 1);
-    preds.push_back(flip_bits(g, all_same(g, 0), flip + 1, rng));
+  preds.push_back(Predictions(std::vector<Value>(g.num_nodes(), 0)));
+  preds.push_back(Predictions(std::vector<Value>(g.num_nodes(), 1)));
+  // One perturbed sweep: level k differs from the shared exact base in
+  // exactly k bits, so the levels are pairwise distinct.
+  for (int flips = 1; flips <= 8; ++flips) {
+    preds.push_back(provide_with_seed(*perturbed_provider(flips), g,
+                                      ProblemKind::kMis, 1));
   }
   const std::uint64_t instance = graph_digest(g);
   const std::uint64_t options = options_digest(EngineOptions{});
@@ -346,7 +390,8 @@ TEST(IdentifierStability, StaleWarmStartPredictionsAreDropped) {
   batch.remove_nodes.push_back(prev.id(3));
   const Graph next = apply_edits(prev, batch);
 
-  const Predictions warm = warm_start_matching(prev, outputs, next);
+  const Predictions warm = provide_with_seed(
+      *warm_start_provider(prev, outputs), next, ProblemKind::kMatching, 0);
   ASSERT_EQ(warm.node_values().size(), static_cast<std::size_t>(3));
   // Survivors keep partners that survived; the partner of the deleted
   // node is dropped to ⊥, never passed through as a dangling identifier.
@@ -358,15 +403,29 @@ TEST(IdentifierStability, StaleWarmStartPredictionsAreDropped) {
 TEST(IdentifierStability, OutOfEncodingOutputsBecomeNeutralPredictions) {
   const Graph prev = GraphSpec::line(3).build();
   const std::vector<Value> garbage = {kUndefined, -999, 17};
-  const Predictions mis = warm_start_mis(prev, garbage, prev);
+  const ProviderPtr warm = warm_start_provider(prev, garbage);
+  const Predictions mis = provide_with_seed(*warm, prev, ProblemKind::kMis, 0);
   EXPECT_EQ(mis.node_values(), (std::vector<Value>{0, 0, 0}));
-  const Predictions matching = warm_start_matching(prev, garbage, prev);
+  const Predictions matching =
+      provide_with_seed(*warm, prev, ProblemKind::kMatching, 0);
   EXPECT_EQ(matching.node_values()[0], kNoNode);
   EXPECT_EQ(matching.node_values()[1], kNoNode);
-  const Predictions coloring = warm_start_coloring(prev, garbage, prev);
+  const Predictions coloring =
+      provide_with_seed(*warm, prev, ProblemKind::kColoring, 0);
   EXPECT_EQ(coloring.node_values()[0], 0);
   EXPECT_EQ(coloring.node_values()[1], 0);
   EXPECT_EQ(coloring.node_values()[2], 17);  // positive color passes through
+}
+
+TEST(PerturbEdges, KeepsNodeSet) {
+  Rng rng(4);
+  const Graph g = make_random_connected(30, 15, rng);
+  const Graph h = perturb_edges(g, 5, 5, rng);
+  EXPECT_EQ(h.num_nodes(), 30);
+  EXPECT_EQ(h.num_edges(), g.num_edges());  // -5 +5
+  EXPECT_EQ(h.ids(), g.ids());
+  EXPECT_EQ(h.id_bound(), g.id_bound());
+  EXPECT_NE(h.edges(), g.edges());
 }
 
 TEST(ApplyEdits, EditBatchesAreContractsNotHints) {

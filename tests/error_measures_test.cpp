@@ -4,7 +4,7 @@
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 
 namespace dgap {
 namespace {
@@ -14,7 +14,7 @@ namespace {
 TEST(MisBase, CorrectPredictionDecidesEverything) {
   Rng rng(1);
   Graph g = make_grid(5, 5);
-  auto pred = mis_correct_prediction(g, rng);
+  auto pred = exact_provider()->provide(g, ProblemKind::kMis, rng);
   auto status = mis_base_status(g, pred);
   for (NodeId v = 0; v < g.num_nodes(); ++v) EXPECT_NE(status[v], -1);
   EXPECT_TRUE(mis_error_components(g, pred).empty());
@@ -24,7 +24,7 @@ TEST(MisBase, AllOnesLeavesEverythingActiveOnEdgyGraphs) {
   // With every prediction 1, no node has all-zero neighbors (unless
   // isolated), so the base algorithm decides nothing.
   Graph g = make_ring(6);
-  auto pred = all_same(g, 1);
+  auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
   auto comps = mis_error_components(g, pred);
   ASSERT_EQ(comps.size(), 1u);
   EXPECT_EQ(comps[0].size(), 6u);
@@ -33,7 +33,7 @@ TEST(MisBase, AllOnesLeavesEverythingActiveOnEdgyGraphs) {
 
 TEST(MisBase, AllZerosLeavesEverythingActive) {
   Graph g = make_line(7);
-  auto pred = all_same(g, 0);
+  auto pred = Predictions(std::vector<Value>(g.num_nodes(), 0));
   EXPECT_EQ(eta1_mis(g, pred), 7);
 }
 
@@ -48,7 +48,7 @@ TEST(MisBase, IsolatedNodePredictingOneIsDecided) {
 
 TEST(MisBase, TwoAdjacentOnesStayActive) {
   Graph g = make_line(2);
-  auto pred = all_same(g, 1);
+  auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
   auto status = mis_base_status(g, pred);
   EXPECT_EQ(status[0], -1);
   EXPECT_EQ(status[1], -1);
@@ -75,8 +75,8 @@ TEST(ErrorMeasures, Eta2AtMostEta1Everywhere) {
   Rng rng(2);
   for (int trial = 0; trial < 30; ++trial) {
     Graph g = make_gnp(18, 0.2, rng);
-    auto pred = flip_bits(g, mis_correct_prediction(g, rng),
-                          static_cast<int>(rng.next_below(10)), rng);
+    const int errors = static_cast<int>(rng.next_below(10));
+    auto pred = perturbed_provider(errors)->provide(g, ProblemKind::kMis, rng);
     EXPECT_LE(eta2_mis(g, pred), eta1_mis(g, pred)) << "trial " << trial;
   }
 }
@@ -84,7 +84,7 @@ TEST(ErrorMeasures, Eta2AtMostEta1Everywhere) {
 TEST(ErrorMeasures, CliqueAllOnes_Eta2IsTwo) {
   // μ2(K_k) = 2·min{α, τ} = 2·min{1, k−1} = 2, while μ1 = k.
   Graph g = make_clique(8);
-  auto pred = all_same(g, 1);
+  auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
   EXPECT_EQ(eta1_mis(g, pred), 8);
   EXPECT_EQ(eta2_mis(g, pred), 2);
 }
@@ -92,7 +92,7 @@ TEST(ErrorMeasures, CliqueAllOnes_Eta2IsTwo) {
 TEST(ErrorMeasures, StarAllOnes_Eta2IsTwo) {
   // τ(star) = 1, so μ2 = 2 though μ1 = n.
   Graph g = make_star(9);
-  auto pred = all_same(g, 1);
+  auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
   EXPECT_EQ(eta1_mis(g, pred), 9);
   EXPECT_EQ(eta2_mis(g, pred), 2);
 }
@@ -103,8 +103,8 @@ TEST(ErrorMeasures, EtaBwAtMostEta1) {
   Rng rng(3);
   for (int trial = 0; trial < 30; ++trial) {
     Graph g = make_gnp(18, 0.25, rng);
-    auto pred = flip_bits(g, mis_correct_prediction(g, rng),
-                          static_cast<int>(rng.next_below(12)), rng);
+    const int errors = static_cast<int>(rng.next_below(12));
+    auto pred = perturbed_provider(errors)->provide(g, ProblemKind::kMis, rng);
     EXPECT_LE(eta_bw_mis(g, pred), eta1_mis(g, pred));
   }
 }
@@ -115,14 +115,15 @@ TEST(ErrorMeasures, Figure2Grid_Eta1IsN_EtaBwIsFour) {
   // white/black-undecided neighbors), η1 = n but η_bw = 4.
   const NodeId w = 16, h = 16;
   Graph g = make_grid(w, h);
-  auto pred = grid_stripe_prediction(w, h);
+  auto pred =
+      provide_with_seed(*grid_stripe_provider(w, h), g, ProblemKind::kMis, 0);
   EXPECT_EQ(eta1_mis(g, pred), w * h);
   EXPECT_EQ(eta_bw_mis(g, pred), 4);
 }
 
 TEST(ErrorMeasures, AllSamePredictionMakesEtaBwEqualEta1) {
   Graph g = make_ring(8);
-  auto pred = all_same(g, 1);
+  auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
   EXPECT_EQ(eta_bw_mis(g, pred), eta1_mis(g, pred));
 }
 
@@ -144,8 +145,9 @@ TEST(ErrorMeasures, EtaTAtMostEtaBw) {
   Rng rng(4);
   for (int trial = 0; trial < 30; ++trial) {
     RootedTree t = make_rooted_random_tree(25, rng);
-    auto pred = flip_bits(t.graph, mis_correct_prediction(t.graph, rng),
-                          static_cast<int>(rng.next_below(12)), rng);
+    const int errors = static_cast<int>(rng.next_below(12));
+    auto pred =
+        perturbed_provider(errors)->provide(t.graph, ProblemKind::kMis, rng);
     EXPECT_LE(eta_t_mis(t, pred), eta_bw_mis(t.graph, pred));
     EXPECT_LE(eta_bw_mis(t.graph, pred), eta1_mis(t.graph, pred));
   }
@@ -154,7 +156,7 @@ TEST(ErrorMeasures, EtaTAtMostEtaBw) {
 TEST(ErrorMeasures, EtaTZeroOnCorrectPredictions) {
   Rng rng(5);
   RootedTree t = make_rooted_binary_tree(4);
-  auto pred = mis_correct_prediction(t.graph, rng);
+  auto pred = exact_provider()->provide(t.graph, ProblemKind::kMis, rng);
   EXPECT_EQ(eta_t_mis(t, pred), 0);
 }
 
@@ -175,7 +177,8 @@ TEST(ErrorMeasures, HammingIsGlobalWhileEta1IsLocal) {
   Graph one = make_clique(3);
   Graph g = one;
   for (int i = 0; i < 4; ++i) g = disjoint_union(g, one);
-  auto pred = all_same(g, 1);  // every triangle fully wrong
+  // Every triangle fully wrong.
+  auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
   EXPECT_EQ(eta1_mis(g, pred), 3);
   EXPECT_GE(eta_hamming_mis(g, pred), 5 * 2);  // 2 flips per triangle
 }
@@ -184,8 +187,8 @@ TEST(ErrorMeasures, Eta2BoundsSandwichExactValue) {
   Rng rng(7);
   for (int trial = 0; trial < 25; ++trial) {
     Graph g = make_gnp(16, 0.25, rng);
-    auto pred = flip_bits(g, mis_correct_prediction(g, rng),
-                          static_cast<int>(rng.next_below(10)), rng);
+    const int errors = static_cast<int>(rng.next_below(10));
+    auto pred = perturbed_provider(errors)->provide(g, ProblemKind::kMis, rng);
     const int exact = eta2_mis(g, pred);
     const auto bounds = eta2_mis_bounds(g, pred);
     EXPECT_LE(bounds.lo, exact) << "trial " << trial;
@@ -198,7 +201,7 @@ TEST(ErrorMeasures, Eta2BoundsScaleToLargeComponents) {
   // A 3000-node instance whose exact α would be expensive: the bounds are
   // instant and still informative.
   Graph g = make_ring(3000);
-  auto pred = all_same(g, 1);
+  auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
   const auto bounds = eta2_mis_bounds(g, pred);
   EXPECT_GT(bounds.lo, 1000);   // α and τ are both ~n/2 or more
   EXPECT_LE(bounds.hi, 3001);
@@ -209,14 +212,14 @@ TEST(ErrorMeasures, SumMeasureDominatesEta1) {
   Rng rng(6);
   for (int trial = 0; trial < 20; ++trial) {
     Graph g = make_gnp(18, 0.2, rng);
-    auto pred = flip_bits(g, mis_correct_prediction(g, rng),
-                          static_cast<int>(rng.next_below(10)), rng);
+    const int errors = static_cast<int>(rng.next_below(10));
+    auto pred = perturbed_provider(errors)->provide(g, ProblemKind::kMis, rng);
     EXPECT_GE(eta_sum_mis(g, pred), eta1_mis(g, pred));
   }
   // Disjoint components make the gap arbitrarily large.
   Graph g = make_clique(3);
   for (int i = 1; i < 6; ++i) g = disjoint_union(g, make_clique(3));
-  auto pred = all_same(g, 1);
+  auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
   EXPECT_EQ(eta1_mis(g, pred), 3);
   EXPECT_EQ(eta_sum_mis(g, pred), 18);
 }
@@ -253,7 +256,8 @@ TEST(ErrorMeasures, WheelDiameterNonMonotonicity) {
   auto [rim, map] = g.induced(comps[0]);
   EXPECT_EQ(diameter(rim), k / 2);
 
-  auto worse = all_same(g, 1);  // strictly worse predictions
+  // Strictly worse predictions.
+  auto worse = Predictions(std::vector<Value>(g.num_nodes(), 1));
   auto comps2 = mis_error_components(g, worse);
   ASSERT_EQ(comps2.size(), 1u);
   auto [whole, map2] = g.induced(comps2[0]);
@@ -303,7 +307,7 @@ TEST(ColoringBase, ClashingAndIllegalPredictionsActive) {
 TEST(EdgeColoringBase, CorrectPredictionColorsEverything) {
   Rng rng(6);
   Graph g = make_ring(6);
-  auto pred = edge_coloring_correct_prediction(g, rng);
+  auto pred = exact_provider()->provide(g, ProblemKind::kEdgeColoring, rng);
   auto colored = edge_coloring_base_colored(g, pred);
   for (NodeId v = 0; v < 6; ++v) {
     for (bool c : colored[v]) EXPECT_TRUE(c);

@@ -11,7 +11,7 @@
 #include "matching/checkers.hpp"
 #include "mis/checkers.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
 #include "templates/problems_with_predictions.hpp"
@@ -73,7 +73,7 @@ TEST_P(FuzzTest, MisAlgorithms) {
   Graph g = random_instance(rng);
   const int flips = static_cast<int>(rng.next_below(
       static_cast<std::uint64_t>(g.num_nodes()) + 1));
-  auto pred = flip_bits(g, mis_correct_prediction(g, rng), flips, rng);
+  auto pred = perturbed_provider(flips)->provide(g, ProblemKind::kMis, rng);
   const int e1 = eta1_mis(g, pred);
   ProgramFactory (*factories[])() = {
       &mis_simple_greedy,      &mis_consecutive_gather,
@@ -100,7 +100,7 @@ TEST_P(FuzzTest, MatchingAlgorithms) {
   const int breaks = static_cast<int>(rng.next_below(
       static_cast<std::uint64_t>(g.num_nodes()) + 1));
   auto pred =
-      break_matches(g, matching_correct_prediction(g, rng), breaks, rng);
+      perturbed_provider(breaks)->provide(g, ProblemKind::kMatching, rng);
   const int e1 = eta1_matching(g, pred);
   ProgramFactory (*factories[])() = {&matching_simple_greedy,
                                      &matching_consecutive_linegraph,
@@ -124,7 +124,7 @@ TEST_P(FuzzTest, ColoringAlgorithms) {
   const int scrambles = static_cast<int>(rng.next_below(
       static_cast<std::uint64_t>(g.num_nodes()) + 1));
   auto pred =
-      scramble_colors(g, coloring_correct_prediction(g, rng), scrambles, rng);
+      perturbed_provider(scrambles)->provide(g, ProblemKind::kColoring, rng);
   const int e1 = eta1_coloring(g, pred);
   const Value palette = g.max_degree() + 1;
   ProgramFactory (*factories[])() = {&coloring_simple_greedy,
@@ -149,8 +149,8 @@ TEST_P(FuzzTest, EdgeColoringAlgorithms) {
   Graph g = random_instance(rng);
   const int scrambles = static_cast<int>(rng.next_below(
       static_cast<std::uint64_t>(g.num_edges()) + 1));
-  auto pred = scramble_edge_colors(
-      g, edge_coloring_correct_prediction(g, rng), scrambles, rng);
+  auto pred = perturbed_provider(scrambles)->provide(
+      g, ProblemKind::kEdgeColoring, rng);
   const int e1 = eta1_edge_coloring(g, pred);
   ProgramFactory (*factories[])() = {&edge_coloring_simple_greedy,
                                      &edge_coloring_consecutive_linegraph,

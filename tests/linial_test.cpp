@@ -6,7 +6,7 @@
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "mis/checkers.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "sim/phase.hpp"
 #include "templates/mis_with_predictions.hpp"
@@ -291,8 +291,8 @@ TEST(LinialKw, ParallelTemplateVariantValidAndCapped) {
   for (int trial = 0; trial < 10; ++trial) {
     Graph g = make_gnp(20, 0.35, rng);  // denser: larger Δ, KW matters
     randomize_ids(g, rng);
-    auto pred = flip_bits(g, mis_correct_prediction(g, rng),
-                          static_cast<int>(rng.next_below(12)), rng);
+    const int errors = static_cast<int>(rng.next_below(12));
+    auto pred = perturbed_provider(errors)->provide(g, ProblemKind::kMis, rng);
     auto result = run_with_predictions(g, pred, mis_parallel_linial_kw());
     ASSERT_TRUE(result.completed);
     EXPECT_TRUE(is_valid_mis(g, result.outputs)) << check_mis(g, result.outputs);

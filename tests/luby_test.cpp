@@ -4,7 +4,7 @@
 #include "graph/generators.hpp"
 #include "mis/checkers.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "random/luby.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
@@ -66,11 +66,15 @@ TEST(LubyTemplate, SimpleWithLubyIsConsistentAndValid) {
   for (int trial = 0; trial < 10; ++trial) {
     Graph g = make_gnp(20, 0.2, rng);
     randomize_ids(g, rng);
-    auto correct = mis_correct_prediction(g, rng);
+    // One seed: `bad` is `correct` with 6 bits flipped.
+    const std::uint64_t seed = rng.next();
+    auto correct =
+        provide_with_seed(*exact_provider(), g, ProblemKind::kMis, seed);
     auto r = run_with_predictions(g, correct, mis_simple_luby(trial));
     EXPECT_TRUE(is_valid_mis(g, r.outputs));
     EXPECT_EQ(r.rounds, 3);  // consistency from the initialization
-    auto bad = flip_bits(g, correct, 6, rng);
+    auto bad =
+        provide_with_seed(*perturbed_provider(6), g, ProblemKind::kMis, seed);
     auto rb = run_with_predictions(g, bad, mis_simple_luby(trial));
     EXPECT_TRUE(is_valid_mis(g, rb.outputs)) << check_mis(g, rb.outputs);
   }

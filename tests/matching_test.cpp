@@ -6,7 +6,7 @@
 #include "matching/algorithms.hpp"
 #include "matching/checkers.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "sim/phase.hpp"
 
@@ -86,7 +86,7 @@ TEST(GreedyMatching, SingletonOutputsBottomImmediately) {
 TEST(MatchingBasePhase, CorrectPredictionIsOutputInTwoRounds) {
   Rng rng(3);
   Graph g = make_grid(4, 4);
-  auto pred = matching_correct_prediction(g, rng);
+  auto pred = exact_provider()->provide(g, ProblemKind::kMatching, rng);
   auto result = run_with_predictions(g, pred,
                                      phase_as_algorithm(make_matching_base()));
   EXPECT_EQ(result.rounds, kMatchingBaseRounds);
@@ -101,8 +101,9 @@ TEST(MatchingBasePhase, MatchesAnalyticStatus) {
   for (int trial = 0; trial < 15; ++trial) {
     Graph g = make_gnp(14, 0.25, rng);
     randomize_ids(g, rng);
-    auto pred = break_matches(g, matching_correct_prediction(g, rng),
-                              static_cast<int>(rng.next_below(4)), rng);
+    const int errors = static_cast<int>(rng.next_below(4));
+    auto pred =
+        perturbed_provider(errors)->provide(g, ProblemKind::kMatching, rng);
     auto result = run_with_predictions(
         g, pred, phase_as_algorithm(make_matching_base()));
     auto status = matching_base_status(g, pred);
@@ -140,7 +141,7 @@ TEST(Matching, InitPlusGreedyCompletesToValidMatching) {
   for (int trial = 0; trial < 15; ++trial) {
     Graph g = make_gnp(14, 0.25, rng);
     randomize_ids(g, rng);
-    auto pred = break_matches(g, matching_correct_prediction(g, rng), 3, rng);
+    auto pred = perturbed_provider(3)->provide(g, ProblemKind::kMatching, rng);
     auto factory = phase_as_algorithm([](NodeId) {
       std::vector<std::unique_ptr<PhaseProgram>> phases;
       phases.push_back(std::make_unique<MatchingInitPhase>());

@@ -6,7 +6,7 @@
 #include "mis/algorithms.hpp"
 #include "mis/checkers.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "sim/phase.hpp"
 
@@ -161,7 +161,7 @@ std::vector<Value> run_phase_outputs(const Graph& g, const Predictions& pred,
 TEST(MisBasePhase, CorrectPredictionOutputsItInThreeRounds) {
   Rng rng(6);
   Graph g = make_grid(4, 4);
-  auto pred = mis_correct_prediction(g, rng);
+  auto pred = exact_provider()->provide(g, ProblemKind::kMis, rng);
   int rounds = 0;
   auto outputs = run_phase_outputs(g, pred, make_mis_base(), &rounds);
   EXPECT_EQ(rounds, kMisBaseRounds);
@@ -176,8 +176,8 @@ TEST(MisBasePhase, MatchesAnalyticStatus) {
   for (int trial = 0; trial < 20; ++trial) {
     Graph g = make_gnp(15, 0.25, rng);
     randomize_ids(g, rng);
-    auto pred = flip_bits(g, mis_correct_prediction(g, rng),
-                          static_cast<int>(rng.next_below(8)), rng);
+    const int errors = static_cast<int>(rng.next_below(8));
+    auto pred = perturbed_provider(errors)->provide(g, ProblemKind::kMis, rng);
     auto outputs = run_phase_outputs(g, pred, make_mis_base());
     auto status = mis_base_status(g, pred);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -195,7 +195,7 @@ TEST(MisBasePhase, PruningProperty) {
   // Every node that outputs, outputs its own prediction.
   Rng rng(8);
   Graph g = make_gnp(15, 0.3, rng);
-  auto pred = flip_bits(g, mis_correct_prediction(g, rng), 4, rng);
+  auto pred = perturbed_provider(4)->provide(g, ProblemKind::kMis, rng);
   auto outputs = run_phase_outputs(g, pred, make_mis_base());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (mis_output_defined(outputs[v])) {
@@ -211,8 +211,8 @@ TEST(MisInitPhase, ContainsBaseSolution) {
   for (int trial = 0; trial < 20; ++trial) {
     Graph g = make_gnp(15, 0.25, rng);
     randomize_ids(g, rng);
-    auto pred = flip_bits(g, mis_correct_prediction(g, rng),
-                          static_cast<int>(rng.next_below(8)), rng);
+    const int errors = static_cast<int>(rng.next_below(8));
+    auto pred = perturbed_provider(errors)->provide(g, ProblemKind::kMis, rng);
     auto base = run_phase_outputs(g, pred, make_mis_base());
     auto init = run_phase_outputs(g, pred, make_mis_init());
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -226,7 +226,7 @@ TEST(MisInitPhase, ContainsBaseSolution) {
 
 TEST(MisInitPhase, BreaksTiesByIdentifierAmongAdjacentOnes) {
   Graph g = make_line(2);  // ids 1, 2; both predict 1
-  auto pred = all_same(g, 1);
+  auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
   auto outputs = run_phase_outputs(g, pred, make_mis_init());
   EXPECT_EQ(outputs[1], 1);  // larger id wins
   EXPECT_EQ(outputs[0], 0);
@@ -235,7 +235,7 @@ TEST(MisInitPhase, BreaksTiesByIdentifierAmongAdjacentOnes) {
 TEST(MisInitPhase, ConsistencyIsThreeRounds) {
   Rng rng(10);
   Graph g = make_random_connected(30, 12, rng);
-  auto pred = mis_correct_prediction(g, rng);
+  auto pred = exact_provider()->provide(g, ProblemKind::kMis, rng);
   int rounds = 0;
   auto outputs = run_phase_outputs(g, pred, make_mis_init(), &rounds);
   EXPECT_EQ(rounds, kMisInitRounds);

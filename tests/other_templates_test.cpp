@@ -11,7 +11,7 @@
 #include "graph/generators.hpp"
 #include "matching/checkers.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "templates/problems_with_predictions.hpp"
 
@@ -99,9 +99,10 @@ TEST_P(MatchingTemplates, ValidAcrossRegimes) {
   Rng rng(100 + GetParam());
   for (int i = 0; i < 10; ++i) {
     Graph g = test_graph(i, rng);
-    auto correct = matching_correct_prediction(g, rng);
+    const std::uint64_t seed = rng.next();  // every level shares one base
     for (int breaks : {0, 2, 100}) {
-      auto pred = break_matches(g, correct, breaks, rng);
+      auto pred = provide_with_seed(*perturbed_provider(breaks), g,
+                                    ProblemKind::kMatching, seed);
       auto result = run_with_predictions(g, pred, factory());
       ASSERT_TRUE(result.completed) << "graph " << i << " breaks " << breaks;
       EXPECT_TRUE(is_valid_maximal_matching(g, result.outputs))
@@ -120,7 +121,7 @@ TEST(MatchingTemplates, ConsistencyTwoRounds) {
   Rng rng(7);
   Graph g = make_grid(5, 5);
   randomize_ids(g, rng);
-  auto pred = matching_correct_prediction(g, rng);
+  auto pred = exact_provider()->provide(g, ProblemKind::kMatching, rng);
   for (auto factory : {&matching_simple_greedy,
                        &matching_consecutive_linegraph,
                        &matching_parallel_linegraph,
@@ -137,7 +138,7 @@ TEST(MatchingTemplates, RobustnessCapsWorstCase) {
   // Linial bound (independent of n for fixed Δ and d).
   Graph g = make_line(240);
   sorted_ids(g);
-  auto pred = all_same(g, kNoNode);
+  auto pred = Predictions(std::vector<Value>(g.num_nodes(), kNoNode));
   auto simple = run_with_predictions(g, pred, matching_simple_greedy());
   auto consecutive =
       run_with_predictions(g, pred, matching_consecutive_linegraph());
@@ -169,9 +170,10 @@ TEST_P(ColoringTemplates, ValidAcrossRegimes) {
   Rng rng(200 + GetParam());
   for (int i = 0; i < 10; ++i) {
     Graph g = test_graph(i, rng);
-    auto correct = coloring_correct_prediction(g, rng);
+    const std::uint64_t seed = rng.next();  // every level shares one base
     for (int scrambles : {0, 3, 100}) {
-      auto pred = scramble_colors(g, correct, scrambles, rng);
+      auto pred = provide_with_seed(*perturbed_provider(scrambles), g,
+                                    ProblemKind::kColoring, seed);
       auto result = run_with_predictions(g, pred, factory());
       ASSERT_TRUE(result.completed)
           << "graph " << i << " scrambles " << scrambles;
@@ -191,7 +193,7 @@ TEST(ColoringTemplates, ConsistencyTwoRounds) {
   Rng rng(8);
   Graph g = make_grid(5, 5);
   randomize_ids(g, rng);
-  auto pred = coloring_correct_prediction(g, rng);
+  auto pred = exact_provider()->provide(g, ProblemKind::kColoring, rng);
   for (auto factory : {&coloring_simple_greedy, &coloring_consecutive_linial,
                        &coloring_parallel_linial,
                        &coloring_interleaved_linial}) {
@@ -209,8 +211,9 @@ TEST(ColoringTemplates, ParallelCapIndependentOfN) {
   Graph large = make_ring(400);
   randomize_ids_sparse(small, 1000, rng);
   randomize_ids_sparse(large, 1000, rng);
-  auto bad_small = all_same(small, 99);  // out-of-palette predictions
-  auto bad_large = all_same(large, 99);
+  // Out-of-palette predictions.
+  auto bad_small = Predictions(std::vector<Value>(small.num_nodes(), 99));
+  auto bad_large = Predictions(std::vector<Value>(large.num_nodes(), 99));
   auto rs = run_with_predictions(small, bad_small, coloring_parallel_linial());
   auto rl = run_with_predictions(large, bad_large, coloring_parallel_linial());
   EXPECT_TRUE(is_valid_coloring(large, rl.outputs, 3));
@@ -231,9 +234,10 @@ TEST_P(EdgeColoringTemplates, ValidAcrossRegimes) {
   Rng rng(300 + GetParam());
   for (int i = 0; i < 10; ++i) {
     Graph g = test_graph(i, rng);
-    auto correct = edge_coloring_correct_prediction(g, rng);
+    const std::uint64_t seed = rng.next();  // every level shares one base
     for (int scrambles : {0, 3, 100}) {
-      auto pred = scramble_edge_colors(g, correct, scrambles, rng);
+      auto pred = provide_with_seed(*perturbed_provider(scrambles), g,
+                                    ProblemKind::kEdgeColoring, seed);
       auto result = run_with_predictions(g, pred, factory());
       ASSERT_TRUE(result.completed)
           << "graph " << i << " scrambles " << scrambles;
@@ -253,7 +257,7 @@ TEST(EdgeColoringTemplates, ConsistencyOneRound) {
   Rng rng(10);
   Graph g = make_grid(5, 5);
   randomize_ids(g, rng);
-  auto pred = edge_coloring_correct_prediction(g, rng);
+  auto pred = exact_provider()->provide(g, ProblemKind::kEdgeColoring, rng);
   for (auto factory : {&edge_coloring_simple_greedy,
                        &edge_coloring_consecutive_linegraph,
                        &edge_coloring_parallel_linegraph,

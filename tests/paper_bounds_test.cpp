@@ -12,7 +12,7 @@
 #include "mis/checkers.hpp"
 #include "mis/gather.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
 
@@ -57,7 +57,7 @@ TEST_P(PaperBoundsTest, Observation7) {
   const auto& c = GetParam();
   Rng rng(static_cast<std::uint64_t>(c.size * 131 + c.flips));
   Graph g = build(c, rng);
-  auto pred = flip_bits(g, mis_correct_prediction(g, rng), c.flips, rng);
+  auto pred = perturbed_provider(c.flips)->provide(g, ProblemKind::kMis, rng);
   auto result = run_with_predictions(g, pred, mis_simple_greedy());
   ASSERT_TRUE(result.completed);
   ASSERT_TRUE(is_valid_mis(g, result.outputs)) << check_mis(g, result.outputs);
@@ -73,7 +73,7 @@ TEST_P(PaperBoundsTest, Lemma8) {
   const auto& c = GetParam();
   Rng rng(static_cast<std::uint64_t>(c.size * 733 + c.flips));
   Graph g = build(c, rng);
-  auto pred = flip_bits(g, mis_correct_prediction(g, rng), c.flips, rng);
+  auto pred = perturbed_provider(c.flips)->provide(g, ProblemKind::kMis, rng);
   auto result = run_with_predictions(g, pred, mis_consecutive_gather());
   ASSERT_TRUE(result.completed);
   ASSERT_TRUE(is_valid_mis(g, result.outputs));
@@ -90,7 +90,7 @@ TEST_P(PaperBoundsTest, Lemma9) {
   const auto& c = GetParam();
   Rng rng(static_cast<std::uint64_t>(c.size * 937 + c.flips));
   Graph g = build(c, rng);
-  auto pred = flip_bits(g, mis_correct_prediction(g, rng), c.flips, rng);
+  auto pred = perturbed_provider(c.flips)->provide(g, ProblemKind::kMis, rng);
   auto result = run_with_predictions(g, pred, mis_interleaved_gather());
   ASSERT_TRUE(result.completed);
   ASSERT_TRUE(is_valid_mis(g, result.outputs));
@@ -109,7 +109,7 @@ TEST_P(PaperBoundsTest, Corollary12) {
   const auto& c = GetParam();
   Rng rng(static_cast<std::uint64_t>(c.size * 389 + c.flips));
   Graph g = build(c, rng);
-  auto pred = flip_bits(g, mis_correct_prediction(g, rng), c.flips, rng);
+  auto pred = perturbed_provider(c.flips)->provide(g, ProblemKind::kMis, rng);
   auto result = run_with_predictions(g, pred, mis_parallel_linial());
   ASSERT_TRUE(result.completed);
   ASSERT_TRUE(is_valid_mis(g, result.outputs));

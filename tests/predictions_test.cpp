@@ -1,12 +1,8 @@
+// The Predictions container: node values, and edge values aligned with
+// the adjacency. Where predictions come from is provider_test.cpp.
 #include <gtest/gtest.h>
 
-#include <set>
-
-#include "common/rng.hpp"
-#include "graph/exact.hpp"
 #include "graph/generators.hpp"
-#include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
 #include "predict/predictions.hpp"
 
 namespace dgap {
@@ -34,105 +30,6 @@ TEST(Predictions, EdgeValuesRejectMisalignedRows) {
   Graph g = make_line(3);
   EXPECT_THROW(Predictions::for_edges(g, {{5}, {5}, {6}}),
                std::invalid_argument);
-}
-
-TEST(PredictionGenerators, CorrectMisPredictionHasZeroError) {
-  Rng rng(1);
-  for (int trial = 0; trial < 20; ++trial) {
-    Graph g = make_gnp(25, 0.2, rng);
-    auto pred = mis_correct_prediction(g, rng);
-    EXPECT_EQ(eta1_mis(g, pred), 0) << "trial " << trial;
-  }
-}
-
-TEST(PredictionGenerators, FlipBitsFlipsExactlyK) {
-  Rng rng(2);
-  Graph g = make_line(20);
-  auto base = mis_correct_prediction(g, rng);
-  auto flipped = flip_bits(g, base, 5, rng);
-  int diff = 0;
-  for (NodeId v = 0; v < 20; ++v) {
-    if (base.node(v) != flipped.node(v)) ++diff;
-  }
-  EXPECT_EQ(diff, 5);
-}
-
-TEST(PredictionGenerators, FlipBitsClampsToN) {
-  Rng rng(3);
-  Graph g = make_line(4);
-  auto base = all_same(g, 0);
-  auto flipped = flip_bits(g, base, 100, rng);
-  for (NodeId v = 0; v < 4; ++v) EXPECT_EQ(flipped.node(v), 1);
-}
-
-TEST(PredictionGenerators, AllSame) {
-  Graph g = make_ring(5);
-  auto p = all_same(g, 1);
-  for (NodeId v = 0; v < 5; ++v) EXPECT_EQ(p.node(v), 1);
-}
-
-TEST(PredictionGenerators, GridStripeMatchesFigure2Pattern) {
-  auto p = grid_stripe_prediction(8, 8);
-  // (0,0) → both mod-4 coords in {0,1} → black.
-  EXPECT_EQ(p.node(grid_index(8, 0, 0)), 1);
-  EXPECT_EQ(p.node(grid_index(8, 1, 1)), 1);
-  EXPECT_EQ(p.node(grid_index(8, 2, 2)), 1);
-  EXPECT_EQ(p.node(grid_index(8, 2, 0)), 0);
-  EXPECT_EQ(p.node(grid_index(8, 0, 3)), 0);
-}
-
-TEST(PredictionGenerators, PerturbEdgesKeepsNodeSet) {
-  Rng rng(4);
-  Graph g = make_random_connected(30, 15, rng);
-  Graph h = perturb_edges(g, 5, 5, rng);
-  EXPECT_EQ(h.num_nodes(), 30);
-  EXPECT_EQ(h.num_edges(), g.num_edges());  // -5 +5
-  EXPECT_EQ(h.ids(), g.ids());
-}
-
-TEST(PredictionGenerators, MatchingCorrectPredictionIsErrorFree) {
-  Rng rng(5);
-  for (int trial = 0; trial < 10; ++trial) {
-    Graph g = make_gnp(20, 0.25, rng);
-    auto pred = matching_correct_prediction(g, rng);
-    EXPECT_EQ(eta1_matching(g, pred), 0);
-  }
-}
-
-TEST(PredictionGenerators, BreakMatchesIntroducesError) {
-  Rng rng(6);
-  Graph g = make_line(20);
-  auto base = matching_correct_prediction(g, rng);
-  auto broken = break_matches(g, base, 3, rng);
-  EXPECT_GT(eta1_matching(g, broken), 0);
-}
-
-TEST(PredictionGenerators, ColoringCorrectPredictionIsErrorFree) {
-  Rng rng(7);
-  for (int trial = 0; trial < 10; ++trial) {
-    Graph g = make_gnp(20, 0.3, rng);
-    auto pred = coloring_correct_prediction(g, rng);
-    EXPECT_EQ(eta1_coloring(g, pred), 0);
-  }
-}
-
-TEST(PredictionGenerators, EdgeColoringCorrectPredictionIsErrorFree) {
-  Rng rng(8);
-  for (int trial = 0; trial < 10; ++trial) {
-    Graph g = make_gnp(15, 0.3, rng);
-    auto pred = edge_coloring_correct_prediction(g, rng);
-    EXPECT_EQ(eta1_edge_coloring(g, pred), 0);
-  }
-}
-
-TEST(PredictionGenerators, ScrambleEdgeColorsStaysSymmetric) {
-  Rng rng(9);
-  Graph g = make_gnp(12, 0.4, rng);
-  auto base = edge_coloring_correct_prediction(g, rng);
-  auto scrambled = scramble_edge_colors(g, base, 6, rng);
-  for (auto [u, v] : g.edges()) {
-    EXPECT_EQ(scrambled.edge(g, u, v), scrambled.edge(g, v, u));
-  }
 }
 
 }  // namespace

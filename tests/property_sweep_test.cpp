@@ -15,7 +15,7 @@
 #include "matching/algorithms.hpp"
 #include "matching/checkers.hpp"
 #include "mis/checkers.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/batch.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
@@ -69,7 +69,7 @@ TEST_P(MisSweep, AllMisAlgorithmsExtendableAtEveryEvenCut) {
   const auto [graph_index, flips] = GetParam();
   Rng rng(static_cast<std::uint64_t>(graph_index * 101 + flips));
   Graph g = kGraphs[graph_index].make(rng);
-  auto pred = flip_bits(g, mis_correct_prediction(g, rng), flips, rng);
+  auto pred = perturbed_provider(flips)->provide(g, ProblemKind::kMis, rng);
 
   ProgramFactory (*factories[])() = {&mis_simple_greedy,
                                      &mis_consecutive_gather,
@@ -120,7 +120,7 @@ TEST_P(OtherProblemsSweep, MatchingPipelineValid) {
   Graph g = kGraphs[graph_index].make(rng);
   for (int breaks : {0, 2, 100}) {
     auto pred =
-        break_matches(g, matching_correct_prediction(g, rng), breaks, rng);
+        perturbed_provider(breaks)->provide(g, ProblemKind::kMatching, rng);
     auto factory = phase_as_algorithm([](NodeId) {
       std::vector<std::unique_ptr<PhaseProgram>> phases;
       phases.push_back(std::make_unique<MatchingInitPhase>());
@@ -139,8 +139,8 @@ TEST_P(OtherProblemsSweep, EdgeColoringPipelineValid) {
   Rng rng(static_cast<std::uint64_t>(graph_index * 91 + 5));
   Graph g = kGraphs[graph_index].make(rng);
   for (int scrambles : {0, 3, 50}) {
-    auto pred = scramble_edge_colors(
-        g, edge_coloring_correct_prediction(g, rng), scrambles, rng);
+    auto pred = perturbed_provider(scrambles)->provide(
+        g, ProblemKind::kEdgeColoring, rng);
     auto factory = phase_as_algorithm([](NodeId) {
       std::vector<std::unique_ptr<PhaseProgram>> phases;
       phases.push_back(std::make_unique<EdgeColoringBasePhase>());
@@ -165,7 +165,7 @@ TEST_P(OtherProblemsSweep, ColoringProperAtEveryCut) {
   const int graph_index = GetParam();
   Rng rng(static_cast<std::uint64_t>(graph_index * 193 + 11));
   Graph g = kGraphs[graph_index].make(rng);
-  auto pred = scramble_colors(g, coloring_correct_prediction(g, rng), 5, rng);
+  auto pred = perturbed_provider(5)->provide(g, ProblemKind::kColoring, rng);
   auto full = run_with_predictions(g, pred, coloring_parallel_linial());
   ASSERT_TRUE(full.completed);
   auto partials =
@@ -185,7 +185,7 @@ TEST_P(OtherProblemsSweep, MatchingPartialsStayConsistent) {
   Rng rng(static_cast<std::uint64_t>(graph_index * 389 + 23));
   Graph g = kGraphs[graph_index].make(rng);
   auto pred =
-      break_matches(g, matching_correct_prediction(g, rng), 4, rng);
+      perturbed_provider(4)->provide(g, ProblemKind::kMatching, rng);
   auto full = run_with_predictions(g, pred, matching_parallel_linegraph());
   ASSERT_TRUE(full.completed);
   auto partials =
@@ -217,7 +217,7 @@ TEST(EnforcedCongest, ComposedTemplateConsistentAtEveryCutUnderTightBudget) {
   Rng rng(31);
   Graph g = make_gnp(12, 0.3, rng);
   randomize_ids(g, rng);
-  auto pred = flip_bits(g, mis_correct_prediction(g, rng), 4, rng);
+  auto pred = perturbed_provider(4)->provide(g, ProblemKind::kMis, rng);
 
   EngineOptions enforced;
   enforced.congest_policy = CongestPolicy::kDefer;
@@ -245,7 +245,7 @@ TEST(EnforcedCongest, ComposedTemplateConsistentAtEveryCutUnderTightBudget) {
 TEST(Determinism, IdenticalRunsIdenticalTranscripts) {
   Rng rng(9);
   Graph g = make_gnp(16, 0.25, rng);
-  auto pred = flip_bits(g, mis_correct_prediction(g, rng), 5, rng);
+  auto pred = perturbed_provider(5)->provide(g, ProblemKind::kMis, rng);
   for (auto factory : {&mis_simple_greedy, &mis_parallel_linial}) {
     auto a = run_with_predictions(g, pred, (*factory)());
     auto b = run_with_predictions(g, pred, (*factory)());

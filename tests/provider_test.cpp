@@ -10,7 +10,11 @@
 //      (warm_start, learned) fold their payloads into the digest.
 //   3. provider_slot_digest — the ResultCache key ingredient separates
 //      providers, kinds, and seeds.
-//   4. The "DGWB" weight blob round-trips, and every truncation and every
+//   4. The regimes — exact predictions have zero error; perturbed ones
+//      corrupt exactly the requested amount — and the sweep contract: with
+//      one seed, perturbed_provider(0) is exact_provider(), and the
+//      positions that differ from exact nest as the error level grows.
+//   5. The "DGWB" weight blob round-trips, and every truncation and every
 //      single-byte flip of it fails decode_model with DGAP_REQUIRE
 //      (std::invalid_argument) — never UB (asan/ubsan in CI).
 #include <gtest/gtest.h>
@@ -20,6 +24,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "predict/error_measures.hpp"
 #include "predict/learned.hpp"
 #include "predict/provider.hpp"
 #include "sim/batch.hpp"
@@ -169,6 +174,154 @@ TEST(Provider, BatchTranscriptsByteIdenticalAtOneAndFourWorkers) {
   ASSERT_GT(half, 0u);
   for (std::size_t i = 0; i < half; ++i) {
     EXPECT_EQ(transcripts[i], transcripts[half + i]) << "job " << i;
+  }
+}
+
+TEST(ExactProvider, CorrectPredictionsHaveZeroError) {
+  Rng rng(1);
+  for (int trial = 0; trial < 20; ++trial) {
+    const Graph g = make_gnp(25, 0.2, rng);
+    const auto pred = exact_provider()->provide(g, ProblemKind::kMis, rng);
+    EXPECT_EQ(eta1_mis(g, pred), 0) << "mis trial " << trial;
+  }
+  for (int trial = 0; trial < 10; ++trial) {
+    const Graph g = make_gnp(20, 0.25, rng);
+    const auto pred =
+        exact_provider()->provide(g, ProblemKind::kMatching, rng);
+    EXPECT_EQ(eta1_matching(g, pred), 0) << "matching trial " << trial;
+  }
+  for (int trial = 0; trial < 10; ++trial) {
+    const Graph g = make_gnp(20, 0.3, rng);
+    const auto pred =
+        exact_provider()->provide(g, ProblemKind::kColoring, rng);
+    EXPECT_EQ(eta1_coloring(g, pred), 0) << "coloring trial " << trial;
+  }
+  for (int trial = 0; trial < 10; ++trial) {
+    const Graph g = make_gnp(15, 0.3, rng);
+    const auto pred =
+        exact_provider()->provide(g, ProblemKind::kEdgeColoring, rng);
+    EXPECT_EQ(eta1_edge_coloring(g, pred), 0) << "edge trial " << trial;
+  }
+}
+
+TEST(PerturbedProvider, FlipBitsFlipsExactlyK) {
+  const Graph g = make_line(20);
+  const auto base =
+      provide_with_seed(*exact_provider(), g, ProblemKind::kMis, 2);
+  const auto flipped =
+      provide_with_seed(*perturbed_provider(5), g, ProblemKind::kMis, 2);
+  int diff = 0;
+  for (NodeId v = 0; v < 20; ++v) {
+    if (base.node(v) != flipped.node(v)) ++diff;
+  }
+  EXPECT_EQ(diff, 5);
+}
+
+TEST(PerturbedProvider, FlipBitsClampsToN) {
+  const Graph g = make_line(4);
+  const auto base =
+      provide_with_seed(*exact_provider(), g, ProblemKind::kMis, 3);
+  const auto flipped =
+      provide_with_seed(*perturbed_provider(100), g, ProblemKind::kMis, 3);
+  for (NodeId v = 0; v < 4; ++v) EXPECT_EQ(flipped.node(v), 1 - base.node(v));
+}
+
+TEST(PerturbedProvider, BreakMatchesIntroducesError) {
+  Rng rng(6);
+  const Graph g = make_line(20);
+  const auto broken =
+      perturbed_provider(3)->provide(g, ProblemKind::kMatching, rng);
+  EXPECT_GT(eta1_matching(g, broken), 0);
+}
+
+TEST(PerturbedProvider, ScrambleEdgeColorsStaysSymmetric) {
+  Rng rng(9);
+  const Graph g = make_gnp(12, 0.4, rng);
+  const auto scrambled =
+      perturbed_provider(6)->provide(g, ProblemKind::kEdgeColoring, rng);
+  EXPECT_GT(eta1_edge_coloring(g, scrambled), 0);
+  for (auto [u, v] : g.edges()) {
+    EXPECT_EQ(scrambled.edge(g, u, v), scrambled.edge(g, v, u));
+  }
+}
+
+/// Every predicted value in one vector: the node values, or the edge rows
+/// concatenated in node order.
+std::vector<Value> flat_values(const Predictions& p) {
+  if (p.has_node_values()) return p.node_values();
+  std::vector<Value> out;
+  for (const auto& row : p.edge_values()) {
+    out.insert(out.end(), row.begin(), row.end());
+  }
+  return out;
+}
+
+TEST(PerturbedProvider, SweepSharesOneBaseAndNestsErrors) {
+  const Graph g = GraphSpec::gnp(200, 0.05, 31).build();
+  constexpr std::uint64_t kSeed = 7;
+  const std::vector<int> levels{0, 1, 2, 5, 10, 30, 100, 1000};
+  for (ProblemKind kind : {ProblemKind::kMis, ProblemKind::kMatching,
+                           ProblemKind::kColoring,
+                           ProblemKind::kEdgeColoring}) {
+    SCOPED_TRACE(problem_kind_name(kind));
+    const std::vector<Value> exact =
+        flat_values(provide_with_seed(*exact_provider(), g, kind, kSeed));
+    std::vector<Value> prev = exact;  // the level below, starting at exact
+    for (int k : levels) {
+      SCOPED_TRACE("errors " + std::to_string(k));
+      const Predictions pred =
+          provide_with_seed(*perturbed_provider(k), g, kind, kSeed);
+      const std::vector<Value> cur = flat_values(pred);
+      ASSERT_EQ(cur.size(), exact.size());
+      if (k == 0) {
+        EXPECT_EQ(cur, exact);
+      }
+      std::size_t diff = 0;
+      for (std::size_t i = 0; i < cur.size(); ++i) {
+        if (cur[i] != exact[i]) ++diff;
+        // Nested: a position wrong one level down stays wrong, unchanged.
+        if (prev[i] != exact[i]) {
+          EXPECT_EQ(cur[i], prev[i]) << "position " << i;
+        }
+      }
+      if (kind == ProblemKind::kMis) {
+        EXPECT_EQ(diff, std::min<std::size_t>(k, cur.size()));
+      }
+      if (kind == ProblemKind::kEdgeColoring) {
+        for (auto [u, v] : g.edges()) {
+          ASSERT_EQ(pred.edge(g, u, v), pred.edge(g, v, u));
+        }
+      }
+      prev = cur;
+    }
+    EXPECT_NE(prev, exact);  // the top level corrupts something
+  }
+}
+
+TEST(ConstantProvider, PredictsTheValueEverywhere) {
+  const Graph g = make_ring(5);
+  const auto p =
+      provide_with_seed(*constant_provider(1), g, ProblemKind::kMis, 0);
+  ASSERT_EQ(p.node_values().size(), 5u);
+  for (NodeId v = 0; v < 5; ++v) EXPECT_EQ(p.node(v), 1);
+}
+
+TEST(GridStripeProvider, MatchesFigure2Pattern) {
+  const Graph g = make_grid(8, 8);
+  const auto p =
+      provide_with_seed(*grid_stripe_provider(8, 8), g, ProblemKind::kMis, 0);
+  // (0,0) → both mod-4 coords in {0,1} → black.
+  EXPECT_EQ(p.node(grid_index(8, 0, 0)), 1);
+  EXPECT_EQ(p.node(grid_index(8, 1, 1)), 1);
+  EXPECT_EQ(p.node(grid_index(8, 2, 2)), 1);
+  EXPECT_EQ(p.node(grid_index(8, 2, 0)), 0);
+  EXPECT_EQ(p.node(grid_index(8, 0, 3)), 0);
+  EXPECT_EQ(p.node(grid_index(8, 7, 6)), 1);
+  // Eight columns: the pattern repeats in both directions.
+  for (NodeId y = 0; y < 8; ++y) {
+    for (NodeId x = 0; x < 4; ++x) {
+      EXPECT_EQ(p.node(grid_index(8, x, y)), p.node(grid_index(8, x + 4, y)));
+    }
   }
 }
 

@@ -10,7 +10,7 @@
 #include "graph/generators.hpp"
 #include "mis/algorithms.hpp"
 #include "mis/checkers.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
 
@@ -38,7 +38,7 @@ TEST(Stress, ParallelTemplateCapHoldsAtScale) {
   // one, and quickly.
   Graph g = make_line(4096);
   sorted_ids(g);
-  auto pred = all_same(g, 1);
+  auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
   const auto t0 = std::chrono::steady_clock::now();
   auto result = run_with_predictions(g, pred, mis_parallel_linial());
   EXPECT_TRUE(result.completed);
@@ -52,7 +52,7 @@ TEST(Stress, TreeParallelAtScale) {
   Rng rng(2);
   RootedTree t = make_rooted_random_tree(5000, rng);
   randomize_ids(t.graph, rng);
-  auto pred = all_same(t.graph, 0);
+  auto pred = Predictions(std::vector<Value>(t.graph.num_nodes(), 0));
   const auto t0 = std::chrono::steady_clock::now();
   auto result = run_with_predictions(t.graph, pred, tree_mis_parallel(t));
   EXPECT_TRUE(result.completed);
@@ -65,7 +65,7 @@ TEST(Stress, ManyComponentsScaleLinearly) {
   Graph g = make_line(8);
   for (int i = 1; i < 500; ++i) g = disjoint_union(g, make_line(8));
   Rng rng(3);
-  auto pred = flip_bits(g, mis_correct_prediction(g, rng), 400, rng);
+  auto pred = perturbed_provider(400)->provide(g, ProblemKind::kMis, rng);
   const auto t0 = std::chrono::steady_clock::now();
   auto result = run_with_predictions(g, pred, mis_simple_greedy());
   EXPECT_TRUE(result.completed);

@@ -7,7 +7,7 @@
 #include "mis/checkers.hpp"
 #include "mis/gather.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "templates/mis_with_predictions.hpp"
 #include "templates/templates.hpp"
@@ -21,8 +21,10 @@ struct Regime {
 };
 
 Predictions make_regime(const Graph& g, const Regime& regime, Rng& rng) {
-  if (regime.flips < 0) return all_same(g, 1);
-  return flip_bits(g, mis_correct_prediction(g, rng), regime.flips, rng);
+  const ProviderPtr provider = regime.flips < 0
+                                   ? constant_provider(1)
+                                   : perturbed_provider(regime.flips);
+  return provider->provide(g, ProblemKind::kMis, rng);
 }
 
 const Regime kRegimes[] = {
@@ -77,7 +79,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TemplateConsistency, AllTemplatesConsistencyThree) {
   Rng rng(2);
   Graph g = make_random_connected(40, 20, rng);
-  auto pred = mis_correct_prediction(g, rng);
+  auto pred = exact_provider()->provide(g, ProblemKind::kMis, rng);
   for (int i = 0; i < 7; ++i) {
     auto result = run_with_predictions(g, pred, kFactories[i]());
     EXPECT_TRUE(is_valid_mis(g, result.outputs)) << kFactoryNames[i];
@@ -92,8 +94,8 @@ TEST(SimpleTemplate, Observation7Bounds) {
   for (int trial = 0; trial < 25; ++trial) {
     Graph g = make_gnp(16, 0.2, rng);
     randomize_ids(g, rng);
-    auto pred = flip_bits(g, mis_correct_prediction(g, rng),
-                          static_cast<int>(rng.next_below(10)), rng);
+    const int errors = static_cast<int>(rng.next_below(10));
+    auto pred = perturbed_provider(errors)->provide(g, ProblemKind::kMis, rng);
     auto result = run_with_predictions(g, pred, mis_simple_greedy());
     const int e1 = eta1_mis(g, pred);
     const int e2 = eta2_mis(g, pred);
@@ -109,8 +111,8 @@ TEST(ConsecutiveTemplate, Lemma8DegradationAndRobustness) {
   for (int trial = 0; trial < 15; ++trial) {
     Graph g = make_gnp(14, 0.25, rng);
     randomize_ids(g, rng);
-    auto pred = flip_bits(g, mis_correct_prediction(g, rng),
-                          static_cast<int>(rng.next_below(8)), rng);
+    const int errors = static_cast<int>(rng.next_below(8));
+    auto pred = perturbed_provider(errors)->provide(g, ProblemKind::kMis, rng);
     auto result = run_with_predictions(g, pred, mis_consecutive_gather());
     const int e1 = eta1_mis(g, pred);
     // 2f(η) + c(n): f = μ1 for Greedy MIS, c = 3.
@@ -129,8 +131,8 @@ TEST(ParallelTemplate, Corollary12MinBound) {
   for (int trial = 0; trial < 15; ++trial) {
     Graph g = make_gnp(14, 0.3, rng);
     randomize_ids(g, rng);
-    auto pred = flip_bits(g, mis_correct_prediction(g, rng),
-                          static_cast<int>(rng.next_below(8)), rng);
+    const int errors = static_cast<int>(rng.next_below(8));
+    auto pred = perturbed_provider(errors)->provide(g, ProblemKind::kMis, rng);
     auto result = run_with_predictions(g, pred, mis_parallel_linial());
     const int e2 = eta2_mis(g, pred);
     const int r1 = linial_total_rounds(g.id_bound(), g.max_degree());
@@ -150,7 +152,7 @@ TEST(ParallelTemplate, Corollary12MinBound) {
 TEST(ParallelTemplate, RobustnessCapsWorstCase) {
   Graph g = make_line(400);
   sorted_ids(g);
-  auto pred = all_same(g, 1);
+  auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
   auto greedy_only = run_with_predictions(g, pred, mis_simple_greedy());
   auto parallel = run_with_predictions(g, pred, mis_parallel_linial());
   EXPECT_TRUE(is_valid_mis(g, parallel.outputs));
@@ -167,8 +169,8 @@ TEST(InterleavedTemplate, DegradationBound) {
   for (int trial = 0; trial < 15; ++trial) {
     Graph g = make_gnp(14, 0.25, rng);
     randomize_ids(g, rng);
-    auto pred = flip_bits(g, mis_correct_prediction(g, rng),
-                          static_cast<int>(rng.next_below(6)), rng);
+    const int errors = static_cast<int>(rng.next_below(6));
+    auto pred = perturbed_provider(errors)->provide(g, ProblemKind::kMis, rng);
     auto result = run_with_predictions(g, pred, mis_interleaved_gather());
     const int e1 = eta1_mis(g, pred);
     // 2f(η) + c(n) + O(1): segments double, so the U time spent before the
@@ -183,7 +185,7 @@ TEST(InterleavedTemplate, RobustWorstCase) {
   // the bound c + 2·Σ r_i holds.
   Graph g = make_line(120);
   sorted_ids(g);
-  auto pred = all_same(g, 1);
+  auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
   auto result = run_with_predictions(g, pred, mis_interleaved_gather());
   EXPECT_TRUE(is_valid_mis(g, result.outputs));
   int total_ref = 0;
@@ -203,7 +205,8 @@ TEST(BwTemplate, GridStripesFastDespiteHugeEta1) {
   Graph g = make_grid(w, h);
   Rng rng(7);
   randomize_ids(g, rng);
-  auto pred = grid_stripe_prediction(w, h);
+  auto pred =
+      provide_with_seed(*grid_stripe_provider(w, h), g, ProblemKind::kMis, 0);
   ASSERT_EQ(eta1_mis(g, pred), w * h);
   ASSERT_EQ(eta_bw_mis(g, pred), 4);
   auto bw = run_with_predictions(g, pred, mis_simple_bw());
@@ -223,7 +226,8 @@ TEST(BwTemplate, ParallelBwCombinesBothWorlds) {
   {
     Graph g = make_grid(12, 12);
     randomize_ids(g, rng);
-    auto pred = grid_stripe_prediction(12, 12);
+    auto pred = provide_with_seed(*grid_stripe_provider(12, 12), g,
+                                  ProblemKind::kMis, 0);
     auto r = run_with_predictions(g, pred, mis_parallel_bw());
     EXPECT_TRUE(is_valid_mis(g, r.outputs)) << check_mis(g, r.outputs);
     EXPECT_LE(r.rounds, 24);  // O(eta_bw), far below the grid size
@@ -231,7 +235,7 @@ TEST(BwTemplate, ParallelBwCombinesBothWorlds) {
   {
     Graph g = make_line(300);
     sorted_ids(g);
-    auto pred = all_same(g, 1);
+    auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
     auto r = run_with_predictions(g, pred, mis_parallel_bw());
     EXPECT_TRUE(is_valid_mis(g, r.outputs));
     const int r1 = linial_total_rounds(g.id_bound(), g.max_degree());
@@ -241,7 +245,7 @@ TEST(BwTemplate, ParallelBwCombinesBothWorlds) {
   {
     Graph g = make_grid(6, 6);
     randomize_ids(g, rng);
-    auto pred = mis_correct_prediction(g, rng);
+    auto pred = exact_provider()->provide(g, ProblemKind::kMis, rng);
     auto r = run_with_predictions(g, pred, mis_parallel_bw());
     EXPECT_EQ(r.rounds, 3);
   }
@@ -253,7 +257,7 @@ TEST(TradeoffKnob, LambdaZeroSkipsUniformPhase) {
   Rng rng(8);
   Graph g = make_line(60);
   sorted_ids(g);
-  auto pred = all_same(g, 1);
+  auto pred = Predictions(std::vector<Value>(g.num_nodes(), 1));
   // λ = 0: straight to the reference after init (robust, not degrading).
   auto r0 = run_with_predictions(g, pred, mis_consecutive_linial_lambda(0, 1));
   // λ = 1: full Lemma 8 behaviour.

@@ -6,7 +6,7 @@
 #include "graph/generators.hpp"
 #include "mis/checkers.hpp"
 #include "predict/error_measures.hpp"
-#include "predict/generators.hpp"
+#include "predict/provider.hpp"
 #include "sim/engine.hpp"
 #include "sim/phase.hpp"
 #include "templates/mis_with_predictions.hpp"
@@ -58,7 +58,7 @@ TEST(TreeInit, CorrectPredictionsTerminateInThreeRounds) {
   for (int trial = 0; trial < 10; ++trial) {
     RootedTree t = make_rooted_random_tree(25, rng);
     randomize_ids(t.graph, rng);
-    auto pred = mis_correct_prediction(t.graph, rng);
+    auto pred = exact_provider()->provide(t.graph, ProblemKind::kMis, rng);
     auto result = run_with_predictions(
         t.graph, pred, phase_as_algorithm(make_tree_mis_init(t)));
     EXPECT_LE(result.rounds, 3);
@@ -74,8 +74,9 @@ TEST(TreeInit, ActiveComponentsAreMonochromatic) {
   for (int trial = 0; trial < 20; ++trial) {
     RootedTree t = make_rooted_random_tree(30, rng);
     randomize_ids(t.graph, rng);
-    auto pred = flip_bits(t.graph, mis_correct_prediction(t.graph, rng),
-                          static_cast<int>(rng.next_below(15)), rng);
+    const int errors = static_cast<int>(rng.next_below(15));
+    auto pred =
+        perturbed_provider(errors)->provide(t.graph, ProblemKind::kMis, rng);
     auto result = run_with_predictions(
         t.graph, pred, phase_as_algorithm(make_tree_mis_init(t)));
     EXPECT_TRUE(is_extendable_partial_mis(t.graph, result.outputs));
@@ -240,12 +241,17 @@ TEST(TreeMisSimple, ConsistentAndValid) {
   for (int trial = 0; trial < 15; ++trial) {
     RootedTree t = make_rooted_random_tree(30, rng);
     randomize_ids(t.graph, rng);
-    auto good = mis_correct_prediction(t.graph, rng);
+    // One seed: `bad` is `good` with some bits flipped.
+    const std::uint64_t seed = rng.next();
+    auto good =
+        provide_with_seed(*exact_provider(), t.graph, ProblemKind::kMis, seed);
     auto r = run_with_predictions(t.graph, good, tree_mis_simple(t));
     EXPECT_TRUE(is_valid_mis(t.graph, r.outputs));
     EXPECT_LE(r.rounds, 3);  // consistency 3
 
-    auto bad = flip_bits(t.graph, good, static_cast<int>(rng.next_below(15)), rng);
+    const int flips = static_cast<int>(rng.next_below(15));
+    auto bad = provide_with_seed(*perturbed_provider(flips), t.graph,
+                                 ProblemKind::kMis, seed);
     auto rb = run_with_predictions(t.graph, bad, tree_mis_simple(t));
     EXPECT_TRUE(is_valid_mis(t.graph, rb.outputs))
         << check_mis(t.graph, rb.outputs);
@@ -260,13 +266,17 @@ TEST(TreeMisParallel, Corollary15Bounds) {
   for (int trial = 0; trial < 15; ++trial) {
     RootedTree t = make_rooted_random_tree(40, rng);
     randomize_ids(t.graph, rng);
-    auto good = mis_correct_prediction(t.graph, rng);
+    // One seed: every `bad` corrupts `good`.
+    const std::uint64_t seed = rng.next();
+    auto good =
+        provide_with_seed(*exact_provider(), t.graph, ProblemKind::kMis, seed);
     auto r = run_with_predictions(t.graph, good, tree_mis_parallel(t));
     EXPECT_TRUE(is_valid_mis(t.graph, r.outputs));
     EXPECT_LE(r.rounds, 3);  // consistency 3
 
     for (int flips : {2, 8, 40}) {
-      auto bad = flip_bits(t.graph, good, flips, rng);
+      auto bad = provide_with_seed(*perturbed_provider(flips), t.graph,
+                                   ProblemKind::kMis, seed);
       auto rb = run_with_predictions(t.graph, bad, tree_mis_parallel(t));
       EXPECT_TRUE(is_valid_mis(t.graph, rb.outputs))
           << check_mis(t.graph, rb.outputs);
