@@ -172,15 +172,8 @@ void template_matrix_table() {
     {
       Graph g = make_line(n);
       sorted_ids(g);
-      auto pred = Predictions::for_edges(
-          g, [&] {
-            std::vector<std::vector<Value>> rows(
-                static_cast<std::size_t>(n));
-            for (NodeId v = 0; v < n; ++v) {
-              rows[v].assign(g.neighbors(v).size(), 99);
-            }
-            return rows;
-          }());
+      auto pred =
+          Predictions::for_edges(g, std::vector<Value>(g.offsets().back(), 99));
       auto rs = run_with_predictions(g, pred, edge_coloring_simple_greedy());
       auto rc = run_with_predictions(g, pred,
                                      edge_coloring_consecutive_linegraph());

@@ -273,28 +273,21 @@ std::vector<Value> sequential_vertex_coloring(
   return color;
 }
 
-std::vector<std::vector<Value>> sequential_edge_coloring(const Graph& g) {
+std::vector<Value> sequential_edge_coloring(const Graph& g) {
   return sequential_edge_coloring(g, g.edges());
 }
 
-std::vector<std::vector<Value>> sequential_edge_coloring(
+std::vector<Value> sequential_edge_coloring(
     const Graph& g, const std::vector<Graph::Edge>& order) {
   const Value palette = std::max<Value>(1, 2 * g.max_degree() - 1);
-  std::vector<std::vector<Value>> out(static_cast<std::size_t>(g.num_nodes()));
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    out[v].assign(g.neighbors(v).size(), 0);
-  }
-  // Column of edge (v, u) in v's row.
-  const auto slot = [&g](NodeId v, NodeId u) {
-    return g.edge_slot(v, u) - g.offsets()[v];
-  };
+  const auto offsets = g.offsets();
+  std::vector<Value> out(offsets.back(), 0);
   for (auto [u, v] : order) {
     std::vector<bool> used(static_cast<std::size_t>(palette + 1), false);
-    for (Value c : out[u]) {
-      if (c >= 1) used[c] = true;
-    }
-    for (Value c : out[v]) {
-      if (c >= 1) used[c] = true;
+    for (NodeId w : {u, v}) {
+      for (std::uint32_t s = offsets[w]; s < offsets[w + 1]; ++s) {
+        if (out[s] >= 1) used[out[s]] = true;
+      }
     }
     Value chosen = 0;
     for (Value c = 1; c <= palette; ++c) {
@@ -304,8 +297,8 @@ std::vector<std::vector<Value>> sequential_edge_coloring(
       }
     }
     DGAP_ASSERT(chosen != 0, "greedy edge coloring must find a color");
-    out[u][slot(u, v)] = chosen;
-    out[v][slot(v, u)] = chosen;
+    out[g.edge_slot(u, v)] = chosen;
+    out[g.edge_slot(v, u)] = chosen;
   }
   return out;
 }

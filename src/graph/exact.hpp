@@ -56,11 +56,10 @@ std::vector<Value> sequential_vertex_coloring(
     const Graph& g, const std::vector<NodeId>& order);
 
 /// Sequential greedy (2Δ−1)-edge coloring in the given edge order (defaults
-/// to g.edges()); returned as, for each node, a vector aligned with
-/// g.neighbors(v) giving the color of each incident edge (colors
-/// 1..2Δ−1). Both endpoints agree.
-std::vector<std::vector<Value>> sequential_edge_coloring(const Graph& g);
-std::vector<std::vector<Value>> sequential_edge_coloring(
+/// to g.edges()); returned as one color (1..2Δ−1) per directed-edge slot,
+/// indexed by g.edge_slot(v, u). Both slots of an edge agree.
+std::vector<Value> sequential_edge_coloring(const Graph& g);
+std::vector<Value> sequential_edge_coloring(
     const Graph& g, const std::vector<Graph::Edge>& order);
 
 }  // namespace dgap

@@ -276,44 +276,36 @@ int eta1_coloring(const Graph& g, const Predictions& pred) {
 
 // ---- (2Δ−1)-Edge Coloring ---------------------------------------------------
 
-std::vector<std::vector<bool>> edge_coloring_base_colored(
-    const Graph& g, const Predictions& pred) {
-  const NodeId n = g.num_nodes();
+std::vector<bool> edge_coloring_base_colored(const Graph& g,
+                                             const Predictions& pred) {
+  const auto offsets = g.offsets();
+  const std::vector<Value>& x = pred.edge_values();
+  DGAP_REQUIRE(x.size() == offsets.back(),
+               "edge coloring needs edge predictions for this graph");
   const Value palette = std::max<Value>(1, 2 * g.max_degree() - 1);
-  // proposes[v][slot]: v's prediction for that edge is legal and unique
-  // among v's incident-edge predictions.
-  std::vector<std::vector<bool>> proposes(static_cast<std::size_t>(n));
-  for (NodeId v = 0; v < n; ++v) {
-    const auto& nb = g.neighbors(v);
-    proposes[v].assign(nb.size(), false);
-    for (std::size_t i = 0; i < nb.size(); ++i) {
-      const Value c = pred.edge(g, v, nb[i]);
-      if (c < 1 || c > palette) continue;
+  // proposes[s]: the prediction in slot s is legal and unique among the
+  // slot owner's incident-edge predictions.
+  std::vector<bool> proposes(x.size(), false);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (std::uint32_t s = offsets[v]; s < offsets[v + 1]; ++s) {
+      if (x[s] < 1 || x[s] > palette) continue;
       bool unique = true;
-      for (std::size_t j = 0; j < nb.size(); ++j) {
-        if (j != i && pred.edge(g, v, nb[j]) == c) {
+      for (std::uint32_t t = offsets[v]; t < offsets[v + 1]; ++t) {
+        if (t != s && x[t] == x[s]) {
           unique = false;
           break;
         }
       }
-      proposes[v][i] = unique;
+      proposes[s] = unique;
     }
   }
-  // Column of edge (v, u) in v's row.
-  const auto slot = [&g](NodeId v, NodeId u) {
-    return g.edge_slot(v, u) - g.offsets()[v];
-  };
-  std::vector<std::vector<bool>> colored(static_cast<std::size_t>(n));
-  for (NodeId v = 0; v < n; ++v) {
-    colored[v].assign(g.neighbors(v).size(), false);
-  }
+  std::vector<bool> colored(x.size(), false);
   for (auto [u, v] : g.edges()) {
-    const std::size_t su = slot(u, v);
-    const std::size_t sv = slot(v, u);
-    if (proposes[u][su] && proposes[v][sv] &&
-        pred.edge(g, u, v) == pred.edge(g, v, u)) {
-      colored[u][su] = true;
-      colored[v][sv] = true;
+    const std::uint32_t su = g.edge_slot(u, v);
+    const std::uint32_t sv = g.edge_slot(v, u);
+    if (proposes[su] && proposes[sv] && x[su] == x[sv]) {
+      colored[su] = true;
+      colored[sv] = true;
     }
   }
   return colored;
@@ -321,11 +313,7 @@ std::vector<std::vector<bool>> edge_coloring_base_colored(
 
 std::vector<std::vector<NodeId>> edge_coloring_error_components(
     const Graph& g, const Predictions& pred) {
-  auto colored = edge_coloring_base_colored(g, pred);
-  // Column of edge (v, u) in v's row.
-  const auto slot = [&g](NodeId v, NodeId u) {
-    return g.edge_slot(v, u) - g.offsets()[v];
-  };
+  const auto colored = edge_coloring_base_colored(g, pred);
   // Union-find over nodes, joining endpoints of uncolored edges.
   std::vector<NodeId> parent(static_cast<std::size_t>(g.num_nodes()));
   for (NodeId v = 0; v < g.num_nodes(); ++v) parent[v] = v;
@@ -338,7 +326,7 @@ std::vector<std::vector<NodeId>> edge_coloring_error_components(
   };
   std::vector<bool> touched(static_cast<std::size_t>(g.num_nodes()), false);
   for (auto [u, v] : g.edges()) {
-    if (!colored[u][slot(u, v)]) {
+    if (!colored[g.edge_slot(u, v)]) {
       touched[u] = touched[v] = true;
       parent[find(u)] = find(v);
     }

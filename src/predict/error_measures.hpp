@@ -96,11 +96,12 @@ int eta1_coloring(const Graph& g, const Predictions& pred);
 
 // ---- (2Δ−1)-Edge Coloring ---------------------------------------------------
 
-/// For every node, a flag per incident edge (aligned with g.neighbors):
-/// true iff the base algorithm colors that edge (both endpoints proposed
-/// the same legal color, and the proposal was unique at both endpoints).
-std::vector<std::vector<bool>> edge_coloring_base_colored(
-    const Graph& g, const Predictions& pred);
+/// One flag per directed-edge slot (indexed by g.edge_slot(v, u)): true
+/// iff the base algorithm colors that edge (both endpoints proposed the
+/// same legal color, and the proposal was unique at both endpoints). Both
+/// slots of an edge agree.
+std::vector<bool> edge_coloring_base_colored(const Graph& g,
+                                             const Predictions& pred);
 
 /// Components of the subgraph induced by the *uncolored edges*; each
 /// component is the set of nodes incident to at least one uncolored edge in

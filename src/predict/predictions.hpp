@@ -4,7 +4,9 @@
 // own output. For node-valued problems (MIS: a bit; matching: a partner
 // identifier or ⊥; vertex coloring: a color) a single Value per node
 // suffices. For the (2Δ−1)-edge-coloring problem the prediction is a color
-// per incident edge, so an optional per-edge table is carried as well.
+// per incident edge, so an optional per-edge table is carried as well:
+// one flat array over the graph's directed-edge slots, where v's
+// prediction for edge {v, u} sits at g.edge_slot(v, u).
 #pragma once
 
 #include <vector>
@@ -21,10 +23,10 @@ class Predictions {
   /// Node-valued predictions; one Value per node (internal index order).
   explicit Predictions(std::vector<Value> node_values);
 
-  /// Edge-valued predictions: for every node, a vector aligned with
-  /// g.neighbors(v) giving the predicted value for each incident edge.
-  static Predictions for_edges(const Graph& g,
-                               std::vector<std::vector<Value>> edge_values);
+  /// Edge-valued predictions: one value per directed-edge slot
+  /// (g.offsets().back() entries); slot g.edge_slot(v, u) holds v's
+  /// prediction for edge {v, u}.
+  static Predictions for_edges(const Graph& g, std::vector<Value> edge_values);
 
   bool has_node_values() const { return !node_.empty(); }
   bool has_edge_values() const { return !edge_.empty(); }
@@ -34,11 +36,11 @@ class Predictions {
 
   /// Predicted value for edge {v, u}, looked up from v's side.
   Value edge(const Graph& g, NodeId v, NodeId u) const;
-  const std::vector<std::vector<Value>>& edge_values() const { return edge_; }
+  const std::vector<Value>& edge_values() const { return edge_; }
 
  private:
   std::vector<Value> node_;
-  std::vector<std::vector<Value>> edge_;
+  std::vector<Value> edge_;  // by Graph::edge_slot
 };
 
 }  // namespace dgap

@@ -50,12 +50,8 @@ std::vector<Value> filled(const Graph& g, Value value) {
 
 Predictions neutral_prediction(const Graph& g, ProblemKind kind) {
   if (kind == ProblemKind::kEdgeColoring) {
-    std::vector<std::vector<Value>> rows(
-        static_cast<std::size_t>(g.num_nodes()));
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      rows[static_cast<std::size_t>(v)].assign(g.neighbors(v).size(), 0);
-    }
-    return Predictions::for_edges(g, std::move(rows));
+    return Predictions::for_edges(
+        g, std::vector<Value>(g.offsets().back(), Value{0}));
   }
   return Predictions(filled(g, neutral_value(kind)));
 }
@@ -128,10 +124,9 @@ std::vector<Value> coloring_solution(const Graph& g, Rng& rng) {
   return sequential_vertex_coloring(g, random_order(g.num_nodes(), rng));
 }
 
-/// A (2Δ−1)-edge coloring in a random edge order, one row per node aligned
-/// with its adjacency list.
-std::vector<std::vector<Value>> edge_coloring_solution(const Graph& g,
-                                                       Rng& rng) {
+/// A (2Δ−1)-edge coloring in a random edge order, one color per
+/// directed-edge slot.
+std::vector<Value> edge_coloring_solution(const Graph& g, Rng& rng) {
   auto edges = g.edges();
   rng.shuffle(edges);
   return sequential_edge_coloring(g, edges);
@@ -212,8 +207,8 @@ std::vector<Value> scramble_colors(const Graph& g, std::vector<Value> x,
 /// Edge coloring: re-color `errors` random edges with random palette
 /// colors, consistently on both endpoints but possibly clashing with
 /// adjacent edges.
-std::vector<std::vector<Value>> scramble_edge_colors(
-    const Graph& g, std::vector<std::vector<Value>> x, int errors, Rng& rng) {
+std::vector<Value> scramble_edge_colors(const Graph& g, std::vector<Value> x,
+                                        int errors, Rng& rng) {
   const Value palette = std::max<Value>(1, 2 * g.max_degree() - 1);
   auto edges = g.edges();
   rng.shuffle(edges);
@@ -221,9 +216,8 @@ std::vector<std::vector<Value>> scramble_edge_colors(
   for (std::size_t i = 0; i < cut; ++i) {
     auto [u, v] = edges[i];
     const Value c = rng.uniform(1, palette);
-    // The edge's column in each endpoint's row.
-    x[u][g.edge_slot(u, v) - g.offsets()[u]] = c;
-    x[v][g.edge_slot(v, u) - g.offsets()[v]] = c;
+    x[g.edge_slot(u, v)] = c;
+    x[g.edge_slot(v, u)] = c;
   }
   return x;
 }

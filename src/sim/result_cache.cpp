@@ -70,10 +70,7 @@ std::uint64_t predictions_digest(const Predictions& pred) {
   h = mix_signed(h, static_cast<std::int64_t>(pred.node_values().size()));
   for (Value v : pred.node_values()) h = mix_signed(h, v);
   h = mix_signed(h, static_cast<std::int64_t>(pred.edge_values().size()));
-  for (const auto& row : pred.edge_values()) {
-    h = mix_signed(h, static_cast<std::int64_t>(row.size()));
-    for (Value v : row) h = mix_signed(h, v);
-  }
+  for (Value v : pred.edge_values()) h = mix_signed(h, v);
   return h;
 }
 

@@ -5,13 +5,10 @@
 // predictions, factory, options) — so the stream of per-round events
 // (round begins, message deliveries, terminations with outputs) is a
 // *complete* description of a run. A TraceSink receives that stream; the
-// consumers built on it are
-//
-//   * TranscriptWriter (sim/transcript.hpp) — the versioned binary
-//     record/replay format behind golden-transcript regression, the
-//     ReplayEngine debugger and `tools/dgap_trace`;
-//   * VerifySink (sim/transcript.hpp) — replays a recorded transcript
-//     against a live run and fails at the first divergent event.
+// library's consumer is TranscriptWriter (sim/transcript.hpp), the
+// versioned binary record/replay format behind golden-transcript
+// regression (run_verified re-records a run and diffs it against the
+// golden), the ReplayEngine debugger and `tools/dgap_trace`.
 //
 // Cost contract: when no sink is installed the engine performs no virtual
 // calls and no per-message work — the hot path tests one cached integer.

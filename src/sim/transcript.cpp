@@ -82,6 +82,7 @@ class ByteReader {
   explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
   std::size_t pos() const { return pos_; }
+  std::size_t remaining() const { return bytes_.size() - pos_; }
   bool eof() const { return pos_ >= bytes_.size(); }
   const std::uint8_t* base() const { return bytes_.data(); }
 
@@ -117,7 +118,7 @@ class ByteReader {
 
   std::string str() {
     const std::uint64_t len = varint();
-    DGAP_REQUIRE(len <= bytes_.size() - pos_, "transcript string truncated");
+    DGAP_REQUIRE(len <= remaining(), "transcript string truncated");
     std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_),
                   static_cast<std::size_t>(len));
     pos_ += static_cast<std::size_t>(len);
@@ -403,6 +404,9 @@ Transcript decode_transcript(std::span<const std::uint8_t> bytes) {
         m.suppressed = flags == 2;
         m.len = static_cast<std::uint32_t>(r.small("message length"));
         if (t.detail == TraceDetail::kPayloads) {
+          // Counts are untrusted until the round checksum: bound them by
+          // the bytes left (each word takes at least one) before reserving.
+          DGAP_REQUIRE(m.len <= r.remaining(), "transcript message truncated");
           m.words.reserve(m.len);
           for (std::uint32_t i = 0; i < m.len; ++i) {
             m.words.push_back(r.zigzag());
@@ -419,6 +423,9 @@ Transcript decode_transcript(std::span<const std::uint8_t> bytes) {
                      "transcript terminated node out of range");
         term.output = r.zigzag();
         const std::int64_t edges = r.small("edge output count");
+        // Each edge output takes at least two bytes (key, value).
+        DGAP_REQUIRE(static_cast<std::size_t>(edges) <= r.remaining() / 2,
+                     "transcript termination truncated");
         term.edge_outputs.reserve(static_cast<std::size_t>(edges));
         for (std::int64_t i = 0; i < edges; ++i) {
           const NodeId key = static_cast<NodeId>(r.small("edge output key"));
@@ -523,147 +530,23 @@ std::vector<std::uint8_t> read_transcript_file(const std::string& path) {
   return bytes;
 }
 
-// ---------------------------------------------------------------------------
-// VerifySink
-// ---------------------------------------------------------------------------
-
-VerifySink::VerifySink(const Transcript& golden) : golden_(&golden) {}
-
-const TranscriptRound& VerifySink::cur() const {
-  return golden_->rounds[round_idx_];
-}
-
-void VerifySink::on_run_begin(NodeId n, const EngineOptions& options) {
-  DGAP_REQUIRE(n == golden_->n,
-               "transcript records a different instance (n mismatch)");
-  DGAP_REQUIRE(options.max_rounds == golden_->max_rounds &&
-                   options.congest_word_limit == golden_->congest_word_limit &&
-                   options.congest_policy == golden_->congest_policy,
-               "transcript records different engine options");
-}
-
-void VerifySink::finish_round() {
-  if (!in_round_) return;
-  DGAP_ASSERT(msg_idx_ == cur().messages.size(),
-              "transcript divergence at round " +
-                  std::to_string(cur().round) + ": live run delivered " +
-                  std::to_string(msg_idx_) + " of " +
-                  std::to_string(cur().messages.size()) +
-                  " recorded messages");
-  DGAP_ASSERT(term_idx_ == cur().terminations.size(),
-              "transcript divergence at round " +
-                  std::to_string(cur().round) + ": live run produced " +
-                  std::to_string(term_idx_) + " of " +
-                  std::to_string(cur().terminations.size()) +
-                  " recorded terminations");
-  ++round_idx_;
-  in_round_ = false;
-}
-
-void VerifySink::on_round_begin(int round, NodeId active) {
-  finish_round();
-  DGAP_ASSERT(round_idx_ < golden_->rounds.size(),
-              "transcript divergence at round " + std::to_string(round) +
-                  ": live run outlives the recorded " +
-                  std::to_string(golden_->rounds.size()) + " rounds");
-  DGAP_ASSERT(cur().round == round,
-              "transcript divergence: expected round " +
-                  std::to_string(cur().round) + ", live run is at round " +
-                  std::to_string(round));
-  DGAP_ASSERT(cur().active == active,
-              "transcript divergence at round " + std::to_string(round) +
-                  ": active count " + std::to_string(active) +
-                  " (recorded " + std::to_string(cur().active) + ")");
-  msg_idx_ = 0;
-  term_idx_ = 0;
-  in_round_ = true;
-}
-
-void VerifySink::on_message(const TraceMessage& m) {
-  const std::string at = "transcript divergence at round " +
-                         std::to_string(m.round) + ", message " +
-                         std::to_string(msg_idx_) + ": ";
-  DGAP_ASSERT(in_round_ && msg_idx_ < cur().messages.size(),
-              at + "live run delivered an extra message (node " +
-                  std::to_string(m.from) + " -> " + std::to_string(m.to) +
-                  ")");
-  const TranscriptMessage& rec = cur().messages[msg_idx_];
-  DGAP_ASSERT(rec.from == m.from && rec.to == m.to,
-              at + "endpoints " + std::to_string(m.from) + " -> " +
-                  std::to_string(m.to) + " (recorded " +
-                  std::to_string(rec.from) + " -> " +
-                  std::to_string(rec.to) + ")");
-  DGAP_ASSERT(rec.channel == m.channel,
-              at + "channel " + std::to_string(m.channel) + " (recorded " +
-                  std::to_string(rec.channel) + ")");
-  DGAP_ASSERT(rec.suppressed == m.suppressed, at + "suppressed flag differs");
-  DGAP_ASSERT(rec.len == m.words.size(),
-              at + "width " + std::to_string(m.words.size()) +
-                  " (recorded " + std::to_string(rec.len) + ")");
-  if (golden_->detail == TraceDetail::kPayloads) {
-    for (std::size_t i = 0; i < rec.len; ++i) {
-      DGAP_ASSERT(rec.words[i] == m.words[i],
-                  at + "payload word " + std::to_string(i) + " is " +
-                      std::to_string(m.words[i]) + " (recorded " +
-                      std::to_string(rec.words[i]) + ")");
-    }
-  }
-  ++msg_idx_;
-}
-
-void VerifySink::on_termination(
-    int round, NodeId node, Value output,
-    std::span<const std::pair<NodeId, Value>> edge_outputs) {
-  const std::string at = "transcript divergence at round " +
-                         std::to_string(round) + ": ";
-  DGAP_ASSERT(in_round_ && term_idx_ < cur().terminations.size(),
-              at + "unrecorded termination of node " + std::to_string(node));
-  const TranscriptTermination& rec = cur().terminations[term_idx_];
-  DGAP_ASSERT(rec.node == node,
-              at + "termination of node " + std::to_string(node) +
-                  " (recorded node " + std::to_string(rec.node) + ")");
-  DGAP_ASSERT(rec.output == output,
-              at + "node " + std::to_string(node) + " output " +
-                  std::to_string(output) + " (recorded " +
-                  std::to_string(rec.output) + ")");
-  DGAP_ASSERT(rec.edge_outputs.size() == edge_outputs.size(),
-              at + "node " + std::to_string(node) +
-                  " edge output count differs");
-  for (std::size_t i = 0; i < edge_outputs.size(); ++i) {
-    DGAP_ASSERT(rec.edge_outputs[i] == edge_outputs[i],
-                at + "node " + std::to_string(node) + " edge output " +
-                    std::to_string(i) + " differs");
-  }
-  ++term_idx_;
-}
-
-void VerifySink::on_run_end(const RunResult& result) {
-  finish_round();
-  DGAP_ASSERT(round_idx_ == golden_->rounds.size(),
-              "transcript divergence: live run ended after round " +
-                  std::to_string(result.rounds) + " of the recorded " +
-                  std::to_string(golden_->rounds.size()));
-  const TranscriptSummary& s = golden_->summary;
-  DGAP_ASSERT(s.completed == result.completed && s.rounds == result.rounds,
-              "transcript divergence: completion (" +
-                  std::to_string(result.completed) + ", " +
-                  std::to_string(result.rounds) + " rounds) differs from "
-                  "the recorded summary");
-  DGAP_ASSERT(s.total_messages == result.total_messages &&
-                  s.total_words == result.total_words,
-              "transcript divergence: message/word totals differ from the "
-              "recorded summary");
-}
-
 RunResult run_verified(const Graph& g, const Predictions& predictions,
                        ProgramFactory factory, EngineOptions options,
                        const Transcript& golden) {
-  DGAP_REQUIRE(options.trace_sink == nullptr,
-               "run_verified installs its own trace sink");
-  VerifySink sink(golden);
-  options.trace_sink = &sink;
-  Engine engine(g, predictions, std::move(factory), options);
-  return engine.run();
+  DGAP_REQUIRE(g.num_nodes() == golden.n,
+               "transcript records a different instance (n mismatch)");
+  DGAP_REQUIRE(options.max_rounds == golden.max_rounds &&
+                   options.congest_word_limit == golden.congest_word_limit &&
+                   options.congest_policy == golden.congest_policy,
+               "transcript records different engine options");
+  RecordedRun live = record_run(g, predictions, std::move(factory), options,
+                                golden.detail, golden.label, golden.spec);
+  if (const auto d =
+          diff_transcripts(golden, decode_transcript(live.transcript))) {
+    DGAP_ASSERT(false, "transcript divergence at round " +
+                           std::to_string(d->round) + ": " + d->field);
+  }
+  return std::move(live.result);
 }
 
 RecordedRun record_run(const Graph& g, const Predictions& predictions,

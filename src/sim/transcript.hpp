@@ -33,8 +33,8 @@
 //   * TranscriptWriter — a TraceSink producing the bytes;
 //   * decode_transcript / encode_transcript — structured form and exact
 //     round-trip (fuzzed in tests/transcript_test.cpp);
-//   * VerifySink / run_verified — run live against a recorded transcript
-//     and fail (DGAP_ASSERT) at the first divergent round: the
+//   * run_verified — re-record a run live and diff it against a recorded
+//     transcript, failing (DGAP_ASSERT) at the first divergent round: the
 //     golden-transcript regression gate (`dgap_trace verify`, CI);
 //   * ReplayEngine — single-step rounds out of a transcript without
 //     re-executing programs, exposing active sets / inboxes / outputs;
@@ -214,38 +214,13 @@ void write_transcript_file(const std::string& path,
                            std::span<const std::uint8_t> bytes);
 std::vector<std::uint8_t> read_transcript_file(const std::string& path);
 
-/// TraceSink that checks a live run against a recorded transcript and
-/// fails — DGAP_ASSERT, naming the round and the divergent quantity — at
-/// the first event that does not match. Instance/option mismatches at
-/// run begin are reported as DGAP_REQUIRE (caller error, not regression).
-class VerifySink final : public TraceSink {
- public:
-  /// `golden` is borrowed and must outlive the run.
-  explicit VerifySink(const Transcript& golden);
-
-  TraceDetail detail() const override { return golden_->detail; }
-  void on_run_begin(NodeId n, const EngineOptions& options) override;
-  void on_round_begin(int round, NodeId active) override;
-  void on_message(const TraceMessage& m) override;
-  void on_termination(int round, NodeId node, Value output,
-                      std::span<const std::pair<NodeId, Value>>
-                          edge_outputs) override;
-  void on_run_end(const RunResult& result) override;
-
- private:
-  const TranscriptRound& cur() const;
-  void finish_round();
-
-  const Transcript* golden_;
-  std::size_t round_idx_ = 0;  // rounds fully verified
-  std::size_t msg_idx_ = 0;
-  std::size_t term_idx_ = 0;
-  bool in_round_ = false;
-};
-
-/// Convenience: run (g, predictions, factory, options) live with a
-/// VerifySink installed. Returns the (verified) result; throws at the
-/// first divergence. `options` must not already carry a trace sink.
+/// Run (g, predictions, factory, options) live, recording it at the
+/// golden's detail level, and compare the recording with `golden` through
+/// diff_transcripts. Returns the (verified) result; throws DGAP_ASSERT
+/// ("transcript divergence at round R: …") at the first divergence, and
+/// DGAP_REQUIRE when n or the engine options differ from the recorded
+/// header (caller error, not regression). `options` must not already
+/// carry a trace sink.
 RunResult run_verified(const Graph& g, const Predictions& predictions,
                        ProgramFactory factory, EngineOptions options,
                        const Transcript& golden);

@@ -47,10 +47,11 @@ VerificationResult verify_coloring_locally(const Graph& g,
                                            const std::vector<Value>& claimed,
                                            Value palette);
 
-/// (2Δ−1)-edge coloring: claimed values per incident edge (aligned with
-/// g.neighbors(v)). v accepts iff its colors are palette colors, pairwise
-/// distinct, and each agrees with the co-endpoint's claim. One round.
+/// (2Δ−1)-edge coloring: one claimed color per directed-edge slot (v's
+/// claim for edge {v, u} at g.edge_slot(v, u); see Predictions::for_edges).
+/// v accepts iff its colors are palette colors, pairwise distinct, and
+/// each agrees with the co-endpoint's claim. One round.
 VerificationResult verify_edge_coloring_locally(
-    const Graph& g, const std::vector<std::vector<Value>>& claimed);
+    const Graph& g, const std::vector<Value>& claimed);
 
 }  // namespace dgap

@@ -93,18 +93,17 @@ TEST(EdgeColoringBasePhase, MatchesAnalyticColoredSet) {
         perturbed_provider(errors)->provide(g, ProblemKind::kEdgeColoring, rng);
     auto result = run_with_predictions(
         g, pred, phase_as_algorithm(make_edge_coloring_base()));
-    auto colored = edge_coloring_base_colored(g, pred);
+    const auto colored = edge_coloring_base_colored(g, pred);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const auto& nb = g.neighbors(v);
-      for (std::size_t i = 0; i < nb.size(); ++i) {
+      for (NodeId u : g.neighbors(v)) {
         const bool has = [&] {
           for (const auto& [key, c] : result.edge_outputs[v]) {
-            if (key == nb[i]) return true;
+            if (key == u) return true;
           }
           return false;
         }();
-        EXPECT_EQ(has, static_cast<bool>(colored[v][i]))
-            << "trial " << trial << " node " << v << " slot " << i;
+        EXPECT_EQ(has, static_cast<bool>(colored[g.edge_slot(v, u)]))
+            << "trial " << trial << " edge " << v << "-" << u;
       }
     }
     EXPECT_TRUE(is_proper_partial_edge_coloring(g, outputs_of(result)));

@@ -308,19 +308,20 @@ TEST(EdgeColoringBase, CorrectPredictionColorsEverything) {
   Rng rng(6);
   Graph g = make_ring(6);
   auto pred = exact_provider()->provide(g, ProblemKind::kEdgeColoring, rng);
-  auto colored = edge_coloring_base_colored(g, pred);
-  for (NodeId v = 0; v < 6; ++v) {
-    for (bool c : colored[v]) EXPECT_TRUE(c);
-  }
+  const auto colored = edge_coloring_base_colored(g, pred);
+  ASSERT_EQ(colored.size(), g.offsets().back());
+  for (bool c : colored) EXPECT_TRUE(c);
   EXPECT_TRUE(edge_coloring_error_components(g, pred).empty());
 }
 
 TEST(EdgeColoringBase, MismatchedEdgeStaysUncolored) {
   Graph g = make_line(3);  // Δ=2, palette {1,2,3}
-  auto pred = Predictions::for_edges(g, {{1}, {2, 3}, {3}});
-  auto colored = edge_coloring_base_colored(g, pred);
-  EXPECT_FALSE(colored[0][0]);  // 1 vs 2 disagree
-  EXPECT_TRUE(colored[1][1]);   // 3 == 3
+  auto pred = Predictions::for_edges(g, {1, 2, 3, 3});
+  const auto colored = edge_coloring_base_colored(g, pred);
+  EXPECT_FALSE(colored[g.edge_slot(0, 1)]);  // 1 vs 2 disagree
+  EXPECT_FALSE(colored[g.edge_slot(1, 0)]);
+  EXPECT_TRUE(colored[g.edge_slot(1, 2)]);  // 3 == 3
+  EXPECT_TRUE(colored[g.edge_slot(2, 1)]);
   const auto comps = edge_coloring_error_components(g, pred);
   ASSERT_EQ(comps.size(), 1u);
   EXPECT_EQ(comps[0].size(), 2u);  // nodes 0 and 1
@@ -331,11 +332,9 @@ TEST(EdgeColoringBase, DuplicateProposalAtEndpointBlocksBoth) {
   // Node 1 predicts color 1 on both incident edges: neither proposal is
   // unique, so neither edge is colored even if the other side agrees.
   Graph g = make_line(3);
-  auto pred = Predictions::for_edges(g, {{1}, {1, 1}, {1}});
-  auto colored = edge_coloring_base_colored(g, pred);
-  EXPECT_FALSE(colored[0][0]);
-  EXPECT_FALSE(colored[1][0]);
-  EXPECT_FALSE(colored[1][1]);
+  auto pred = Predictions::for_edges(g, {1, 1, 1, 1});
+  const auto colored = edge_coloring_base_colored(g, pred);
+  for (bool c : colored) EXPECT_FALSE(c);
 }
 
 }  // namespace

@@ -191,19 +191,15 @@ TEST(Exact, SequentialEdgeColoringProper) {
   Graph g = make_gnp(15, 0.3, rng);
   auto colors = sequential_edge_coloring(g);
   const Value palette = std::max<Value>(1, 2 * g.max_degree() - 1);
+  ASSERT_EQ(colors.size(), g.offsets().back());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto& nb = g.neighbors(v);
     std::set<Value> seen;
-    for (std::size_t i = 0; i < nb.size(); ++i) {
-      EXPECT_GE(colors[v][i], 1);
-      EXPECT_LE(colors[v][i], palette);
-      EXPECT_TRUE(seen.insert(colors[v][i]).second)
-          << "node " << v << " repeats a color";
-      // Agreement with the other endpoint.
-      const auto& nb2 = g.neighbors(nb[i]);
-      auto it = std::lower_bound(nb2.begin(), nb2.end(), v);
-      EXPECT_EQ(colors[nb[i]][static_cast<std::size_t>(it - nb2.begin())],
-                colors[v][i]);
+    for (NodeId u : g.neighbors(v)) {
+      const Value c = colors[g.edge_slot(v, u)];
+      EXPECT_GE(c, 1);
+      EXPECT_LE(c, palette);
+      EXPECT_TRUE(seen.insert(c).second) << "node " << v << " repeats a color";
+      EXPECT_EQ(colors[g.edge_slot(u, v)], c);  // the other endpoint agrees
     }
   }
 }

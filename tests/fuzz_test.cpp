@@ -164,15 +164,10 @@ TEST_P(FuzzTest, EdgeColoringAlgorithms) {
     if (e1 == 0) {
       EXPECT_EQ(result.rounds, 1);
     }
-    std::vector<std::vector<Value>> claimed(
-        static_cast<std::size_t>(g.num_nodes()));
+    std::vector<Value> claimed(g.offsets().back(), 0);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      claimed[v].assign(g.neighbors(v).size(), 0);
       for (auto [key, c] : result.edge_outputs[v]) {
-        const auto& nb = g.neighbors(v);
-        const auto slot = static_cast<std::size_t>(
-            std::lower_bound(nb.begin(), nb.end(), key) - nb.begin());
-        claimed[v][slot] = c;
+        claimed[g.edge_slot(v, key)] = c;
       }
     }
     EXPECT_TRUE(verify_edge_coloring_locally(g, claimed).accepted);

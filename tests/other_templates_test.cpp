@@ -275,10 +275,10 @@ TEST(EdgeColoringTemplates, ConsecutiveCapIndependentOfN) {
   randomize_ids_sparse(small, 2000, rng);
   randomize_ids_sparse(large, 2000, rng);
   // Same illegal prediction everywhere → pure robustness regime.
-  auto bad_small = Predictions::for_edges(
-      small, std::vector<std::vector<Value>>(16, {99, 99}));
-  auto bad_large = Predictions::for_edges(
-      large, std::vector<std::vector<Value>>(300, {99, 99}));
+  auto bad_small =
+      Predictions::for_edges(small, std::vector<Value>(2 * 16, 99));
+  auto bad_large =
+      Predictions::for_edges(large, std::vector<Value>(2 * 300, 99));
   auto rs = run_with_predictions(small, bad_small,
                                  edge_coloring_consecutive_linegraph());
   auto rl = run_with_predictions(large, bad_large,

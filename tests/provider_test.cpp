@@ -137,6 +137,24 @@ TEST(Provider, SlotDigestSeparatesProvidersKindsAndSeeds) {
   EXPECT_EQ(keys.size(), expected);
 }
 
+TEST(Provider, EdgePredictionsDifferingInOneSlotDigestApart) {
+  // Edge predictions reach the ResultCache through predictions_digest;
+  // two tables one slot apart must not share a cache entry.
+  const Graph g = GraphSpec::gnp(30, 0.2, 8).build();
+  const Predictions a =
+      provide_with_seed(*exact_provider(), g, ProblemKind::kEdgeColoring, 4);
+  const std::uint64_t base = predictions_digest(a);
+  std::set<std::uint64_t> digests{base};
+  for (std::size_t s = 0; s < a.edge_values().size(); ++s) {
+    std::vector<Value> x = a.edge_values();
+    x[s] += 1;
+    digests.insert(predictions_digest(Predictions::for_edges(g, x)));
+  }
+  EXPECT_EQ(digests.size(), a.edge_values().size() + 1);
+  EXPECT_EQ(predictions_digest(Predictions::for_edges(g, a.edge_values())),
+            base);
+}
+
 TEST(Provider, EngineConsumesIdenticallyAtOneAndFourThreads) {
   const Graph g = test_graph();
   const Predictions pred =
@@ -245,15 +263,18 @@ TEST(PerturbedProvider, ScrambleEdgeColorsStaysSymmetric) {
   }
 }
 
-/// Every predicted value in one vector: the node values, or the edge rows
-/// concatenated in node order.
-std::vector<Value> flat_values(const Predictions& p) {
-  if (p.has_node_values()) return p.node_values();
-  std::vector<Value> out;
-  for (const auto& row : p.edge_values()) {
-    out.insert(out.end(), row.begin(), row.end());
+TEST(Provider, EdgePredictionsAgreeOnBothSlotsOfAnEdge) {
+  const Graph g = GraphSpec::gnp(40, 0.15, 5).build();
+  for (const ProviderPtr& p :
+       {neutral_provider(), exact_provider(), perturbed_provider(7)}) {
+    SCOPED_TRACE(p->name());
+    const Predictions pred =
+        provide_with_seed(*p, g, ProblemKind::kEdgeColoring, 3);
+    ASSERT_EQ(pred.edge_values().size(), g.offsets().back());
+    for (auto [u, v] : g.edges()) {
+      EXPECT_EQ(pred.edge(g, u, v), pred.edge(g, v, u));
+    }
   }
-  return out;
 }
 
 TEST(PerturbedProvider, SweepSharesOneBaseAndNestsErrors) {
@@ -264,14 +285,20 @@ TEST(PerturbedProvider, SweepSharesOneBaseAndNestsErrors) {
                            ProblemKind::kColoring,
                            ProblemKind::kEdgeColoring}) {
     SCOPED_TRACE(problem_kind_name(kind));
+    // Every predicted value in one vector: node values, or edge values by
+    // slot.
+    const auto values = [kind](const Predictions& p) {
+      return kind == ProblemKind::kEdgeColoring ? p.edge_values()
+                                                : p.node_values();
+    };
     const std::vector<Value> exact =
-        flat_values(provide_with_seed(*exact_provider(), g, kind, kSeed));
+        values(provide_with_seed(*exact_provider(), g, kind, kSeed));
     std::vector<Value> prev = exact;  // the level below, starting at exact
     for (int k : levels) {
       SCOPED_TRACE("errors " + std::to_string(k));
       const Predictions pred =
           provide_with_seed(*perturbed_provider(k), g, kind, kSeed);
-      const std::vector<Value> cur = flat_values(pred);
+      const std::vector<Value> cur = values(pred);
       ASSERT_EQ(cur.size(), exact.size());
       if (k == 0) {
         EXPECT_EQ(cur, exact);

@@ -8,7 +8,8 @@
 //  3. Robustness: truncated or corrupted files fail with DGAP_REQUIRE
 //     (std::invalid_argument) — never UB (this test runs under
 //     asan/ubsan in CI) — and so do well-sealed files carrying a message
-//     flag or congest policy outside the format's value set.
+//     flag or congest policy outside the format's value set, and goldens
+//     whose count fields are overwritten with a maximal varint.
 //  4. Verification: an identical re-run passes run_verified; a perturbed
 //     engine (different algorithm seed) fails with DGAP_ASSERT naming the
 //     exact first divergent round.
@@ -23,6 +24,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
+#include <filesystem>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -32,6 +36,7 @@
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "random/luby.hpp"
+#include "sim/epoch.hpp"
 #include "sim/transcript.hpp"
 #include "run_record.hpp"
 
@@ -241,6 +246,57 @@ TEST(TranscriptCodec, GarbageInputFailsCleanly) {
       b = static_cast<std::uint8_t>(rng.next_below(256));
     }
     EXPECT_THROW(decode_transcript(garbage), std::invalid_argument);
+  }
+}
+
+// Every committed golden's transcripts: single-run files as they are, and
+// each epoch of a "DGEP" epoch-sequence container.
+std::vector<std::vector<std::uint8_t>> golden_transcripts() {
+  std::vector<std::vector<std::uint8_t>> out;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(DGAP_GOLDEN_DIR)) {
+    if (entry.path().extension() != ".dgaptr") continue;
+    std::vector<std::uint8_t> bytes =
+        read_transcript_file(entry.path().string());
+    if (is_epoch_sequence(bytes)) {
+      for (auto& epoch : decode_epoch_sequence(bytes).epochs) {
+        out.push_back(std::move(epoch));
+      }
+    } else {
+      out.push_back(std::move(bytes));
+    }
+  }
+  return out;
+}
+
+// A count field overwritten with the largest varint small() accepts
+// (2^31 − 1) must fail the decode like any other corruption: the decoder
+// bounds counts by the bytes left before it reserves, so no overwrite
+// ends in std::bad_alloc.
+TEST(TranscriptCodec, MaximalVarintOverwritesOfGoldensFailCleanly) {
+  constexpr std::uint8_t kMaxSmall[] = {0xff, 0xff, 0xff, 0xff, 0x07};
+  constexpr int kOffsetsPerTranscript = 400;
+  const auto transcripts = golden_transcripts();
+  ASSERT_GE(transcripts.size(), 6u);
+  Rng rng(7005);
+  for (const std::vector<std::uint8_t>& bytes : transcripts) {
+    ASSERT_GT(bytes.size(), sizeof(kMaxSmall));
+    for (int k = 0; k < kOffsetsPerTranscript; ++k) {
+      const std::size_t at = static_cast<std::size_t>(
+          rng.next_below(bytes.size() - sizeof(kMaxSmall) + 1));
+      std::vector<std::uint8_t> corrupt = bytes;
+      std::copy(std::begin(kMaxSmall), std::end(kMaxSmall),
+                corrupt.begin() + static_cast<std::ptrdiff_t>(at));
+      try {
+        (void)decode_transcript(corrupt);
+      } catch (const std::invalid_argument&) {
+        // expected
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "overwrite at byte " << at << " of a "
+                      << bytes.size() << "-byte transcript threw "
+                      << e.what();
+      }
+    }
   }
 }
 

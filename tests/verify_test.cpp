@@ -121,9 +121,10 @@ TEST(VerifyEdgeColoring, AcceptsAndRejects) {
     bool corrupted = false;
     for (NodeId v = 0; v < g.num_nodes() && !corrupted; ++v) {
       if (g.degree(v) > 0) {
+        const std::uint32_t s = g.offsets()[v];  // v's first edge
         auto bad = colors;
-        bad[v][0] = bad[v][0] % (2 * g.max_degree() - 1) + 1;
-        if (bad[v][0] == colors[v][0]) bad[v][0] = colors[v][0] + 1;
+        bad[s] = bad[s] % (2 * g.max_degree() - 1) + 1;
+        if (bad[s] == colors[s]) bad[s] = colors[s] + 1;
         EXPECT_FALSE(verify_edge_coloring_locally(g, bad).accepted)
             << "trial " << trial;
         corrupted = true;

@@ -8,6 +8,7 @@
 #include "random/luby.hpp"
 #include "templates/epoch_problems.hpp"
 #include "templates/mis_with_predictions.hpp"
+#include "templates/problems_with_predictions.hpp"
 
 namespace dgap {
 
@@ -71,6 +72,25 @@ const std::vector<CanonicalCase>& canonical_cases() {
           "Luby MIS on gnp(64, p=0.05, seed 77), dgap_fit training corpus";
       c.spec = GraphSpec::gnp(64, 0.05, 77);
       c.factory = [] { return luby_mis_algorithm(9); };
+      out.push_back(std::move(c));
+    }
+
+    // 5. Edge-valued predictions end to end: the consecutive line-graph
+    // edge-coloring template fed a perturbed (2Δ−1)-edge coloring. Pins
+    // the per-edge prediction layout (Predictions::for_edges), the
+    // provider's edge corruptions, and the edge-output termination
+    // records.
+    {
+      CanonicalCase c;
+      c.name = "edgecolor_gnp24";
+      c.description =
+          "edge coloring (consecutive line-graph template) on gnp(24, "
+          "p=0.2, seed 5), 8 recolored edges";
+      c.spec = GraphSpec::gnp(24, 0.2, 5);
+      c.provider = perturbed_provider(8);
+      c.kind = ProblemKind::kEdgeColoring;
+      c.prediction_seed = 1701;
+      c.factory = [] { return edge_coloring_consecutive_linegraph(); };
       out.push_back(std::move(c));
     }
 

@@ -8,7 +8,9 @@
 // gate) re-runs each case against its golden and fails at the first
 // divergent round. The corpus spans the three engine regimes: the plain
 // fast path (Luby on G(n, p)), the enforced link layer under kDefer
-// (CONGEST global MIS), and a composed prediction template cut mid-run.
+// (CONGEST global MIS), and a composed prediction template cut mid-run;
+// plus the one edge-valued problem (edge coloring fed per-edge
+// predictions, ending in edge-output termination records).
 #pragma once
 
 #include <cstdint>
