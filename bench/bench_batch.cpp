@@ -133,7 +133,6 @@ std::string hex64(std::uint64_t v) {
 /// Runs one sweep serially and at each worker count; returns false iff any
 /// batch checksum diverges from the serial loop's.
 bool run_sweep(const Sweep& sweep, int reps, Table& table, JsonRecorder& out) {
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
   std::vector<RunResult> serial_results;
   // Best-of-reps wall time per mode, single checksum per mode (every rep
   // must agree — the checksum is data, not timing).
@@ -164,7 +163,6 @@ bool run_sweep(const Sweep& sweep, int reps, Table& table, JsonRecorder& out) {
     out.field("speedup_vs_serial", speedup);
     out.field("checksum", hex64(sum));
     out.field("checksum_matches_serial", static_cast<std::int64_t>(match));
-    out.field("hw_threads", hw);
     return match;
   };
 

@@ -208,7 +208,6 @@ bool run_scaling(JsonRecorder& out, bool check) {
     out.field("workload", "luby");
     out.field("n", static_cast<std::int64_t>(32768));
     out.field("threads", t);
-    out.field("hw_threads", hw);
     out.field("wall_ms", r.wall_ms);
     out.field("speedup_vs_1t", speedup);
     out.field("send_ms", phase_ms(r.phase.send_ns));
@@ -235,7 +234,6 @@ bool run_scaling(JsonRecorder& out, bool check) {
   out.field("workload", "luby");
   out.field("n", static_cast<std::int64_t>(32768));
   out.field("threads", 4);
-  out.field("hw_threads", hw);
   out.field("pairs", kGatePairs);
   out.field("median_speedup", median);
   out.field("min_speedup", ratios.front());

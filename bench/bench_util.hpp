@@ -219,13 +219,22 @@ class JsonRecords {
 /// per data point exactly as with JsonRecords (every call is a no-op when
 /// disabled, so the bench body needs no `if (json)` blocks), and finish()
 /// once at the end — it writes the file and prints the confirmation line.
+/// Every record starts with its provenance: the commit and compiler and
+/// build type it was built from (compile definitions set by
+/// bench/CMakeLists.txt) and the host's hardware_concurrency().
 class JsonRecorder {
  public:
   JsonRecorder(bool enabled, const char* path)
       : enabled_(enabled), path_(path) {}
 
   void begin_record() {
-    if (enabled_) records_.begin_record();
+    if (!enabled_) return;
+    records_.begin_record();
+    records_.field("commit", DGAP_BENCH_COMMIT);
+    records_.field("compiler", DGAP_BENCH_COMPILER);
+    records_.field("build_type", DGAP_BENCH_BUILD_TYPE);
+    records_.field("hw_threads",
+                   static_cast<int>(std::thread::hardware_concurrency()));
   }
   template <typename V>
   void field(const char* key, V v) {

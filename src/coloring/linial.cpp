@@ -1,6 +1,7 @@
 #include "coloring/linial.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/math_util.hpp"
 #include "common/require.hpp"
@@ -15,12 +16,10 @@ LinialSchedule linial_schedule(std::int64_t d, int delta,
   DGAP_REQUIRE(!(reduce_all_classes && kw_reduction),
                "output-respecting reduction and KW blocks are exclusive");
   LinialSchedule s;
+  s.delta = delta;
   if (delta == 0) {
     // No conflicts possible: everyone can take color 0 right away.
-    s.final_colors = 1;
-    s.reduction_rounds = 0;
-    s.total_rounds = 1;  // the final announce round
-    return s;
+    return s;  // one round: the final announce
   }
   std::int64_t m = d;  // colors are 0..d-1 initially (identifier − 1)
   while (true) {
@@ -37,40 +36,50 @@ LinialSchedule linial_schedule(std::int64_t d, int delta,
     m = m_new;
   }
   s.final_colors = m;
-  // Build the per-round reduction plan.
-  auto class_tail = [&](std::vector<LinialReductionStep>& plan,
-                        std::int64_t colors) {
-    const Value floor = reduce_all_classes ? 0 : delta + 1;
-    for (Value c = colors - 1; c >= floor; --c) plan.push_back({0, c, false});
+  // The class tail recolors classes colors−1 down to its floor.
+  const std::int64_t width = static_cast<std::int64_t>(delta) + 1;
+  const std::int64_t floor = reduce_all_classes ? 0 : width;
+  auto tail_rounds = [&](std::int64_t colors) {
+    return std::max<std::int64_t>(colors - floor, 0);
   };
+  std::int64_t rounds = tail_rounds(m);
+  s.class_top = m - 1;
   if (kw_reduction) {
     // Kuhn–Wattenhofer block stages cost Δ+1 rounds each and roughly halve
-    // the palette; they only pay off while the palette is large, so build
-    // the KW plan AND the plain plan and keep the shorter (both are pure
-    // functions of (d, Δ), so every node picks the same one).
-    std::vector<LinialReductionStep> kw_plan;
+    // the palette; they only pay off while the palette is large, so KW is
+    // used only if strictly shorter than the plain class tail (both are
+    // pure functions of (d, Δ), so every node picks the same one).
+    int stages = 0;
     std::int64_t mk = m;
-    const Value block = 2 * (static_cast<Value>(delta) + 1);
-    while (mk > block) {
-      // Stop doubling down when finishing by classes is already cheaper.
-      if (mk - (delta + 1) <= delta + 1) break;
-      for (Value t = 0; t <= delta; ++t) {
-        kw_plan.push_back(
-            {block, static_cast<Value>(delta) + 1 + t, t == delta});
-      }
-      mk = ceil_div(mk, block) * (delta + 1);
+    while (mk > 2 * width) {
+      ++stages;
+      mk = ceil_div(mk, 2 * width) * width;
     }
-    class_tail(kw_plan, mk);
-    std::vector<LinialReductionStep> plain_plan;
-    class_tail(plain_plan, m);
-    s.reduction = kw_plan.size() < plain_plan.size() ? std::move(kw_plan)
-                                                     : std::move(plain_plan);
-  } else {
-    class_tail(s.reduction, m);
+    const std::int64_t kw_rounds = stages * width + tail_rounds(mk);
+    if (kw_rounds < rounds) {
+      s.kw_stages = stages;
+      s.class_top = mk - 1;
+      rounds = kw_rounds;
+    }
   }
-  s.reduction_rounds = static_cast<int>(s.reduction.size());
-  s.total_rounds = static_cast<int>(s.steps.size()) + s.reduction_rounds + 1;
+  const auto num_steps = static_cast<std::int64_t>(s.steps.size());
+  DGAP_REQUIRE(rounds <= std::numeric_limits<int>::max() - num_steps - 1,
+               "Linial round count overflows int: the O(Δ²) palette is too "
+               "large for this Δ");
+  s.reduction_rounds = static_cast<int>(rounds);
+  s.total_rounds = static_cast<int>(num_steps + rounds + 1);
   return s;
+}
+
+LinialReductionStep LinialSchedule::reduction(int i) const {
+  DGAP_ASSERT(i >= 0 && i < reduction_rounds, "reduction round out of range");
+  const Value width = static_cast<Value>(delta) + 1;
+  const Value kw_rounds = kw_stages * width;
+  if (i < kw_rounds) {
+    const Value t = i % width;
+    return {2 * width, width + t, t == delta};
+  }
+  return {0, class_top - (i - kw_rounds), false};
 }
 
 int linial_total_rounds(std::int64_t d, int delta) {
@@ -85,19 +94,11 @@ int linial_total_rounds_kw(std::int64_t d, int delta) {
   return linial_schedule(d, delta, false, /*kw_reduction=*/true).total_rounds;
 }
 
-void LinialColoringPhase::ensure_schedule(const NodeContext& ctx) {
-  if (scheduled_) return;
-  schedule_ = linial_schedule(ctx.d(), ctx.delta(),
-                              options_.respect_terminated_outputs,
-                              options_.kw_reduction);
-  color_ = ctx.delta() == 0 ? 0 : ctx.id() - 1;
-  scheduled_ = true;
-}
+namespace {
 
-Value LinialColoringPhase::poly_eval(Value color, std::int64_t k,
-                                     std::int64_t q, std::int64_t x) const {
-  // color encodes the coefficient vector of a degree-k polynomial over
-  // GF(q), base-q digits = coefficients; evaluate by Horner from the top.
+/// Evaluates at x the degree-k polynomial over GF(q) whose coefficients
+/// are the base-q digits of `color` (Horner from the top digit).
+Value poly_eval(Value color, std::int64_t k, std::int64_t q, std::int64_t x) {
   Value coeff[65];
   Value c = color;
   for (std::int64_t i = 0; i <= k; ++i) {
@@ -109,10 +110,55 @@ Value LinialColoringPhase::poly_eval(Value color, std::int64_t k,
   return acc;
 }
 
+}  // namespace
+
+Value linial_recolor(Value color, std::span<const Value> others,
+                     LinialStep step) {
+  const auto [k, q] = step;
+  for (Value c : others) {
+    DGAP_ASSERT(c != color, "Linial invariant: the coloring stays proper");
+  }
+  for (std::int64_t x = 0; x < q; ++x) {
+    const Value mine = poly_eval(color, k, q, x);
+    if (std::none_of(others.begin(), others.end(), [&](Value c) {
+          return poly_eval(c, k, q, x) == mine;
+        })) {
+      return x * q + mine;
+    }
+  }
+  DGAP_ASSERT(false, "q > kΔ guarantees a separating evaluation point");
+  return kUndefined;
+}
+
+void LinialColoringPhase::ensure_schedule(const NodeContext& ctx) {
+  if (scheduled_) return;
+  schedule_ = linial_schedule(ctx.d(), ctx.delta(),
+                              options_.respect_terminated_outputs,
+                              options_.kw_reduction);
+  color_ = ctx.delta() == 0 ? 0 : ctx.id() - 1;
+  neighbors_ = ctx.neighbors();
+  neighbor_color_.assign(neighbors_.size(), kUndefined);
+  scheduled_ = true;
+}
+
 Value LinialColoringPhase::neighbor_palette_color(NodeId u) const {
-  auto it = neighbor_color_.find(u);
-  if (it == neighbor_color_.end()) return kUndefined;
-  return it->second + 1;
+  const auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(), u);
+  if (it == neighbors_.end() || *it != u) return kUndefined;
+  const Value c = neighbor_color_[static_cast<std::size_t>(
+      it - neighbors_.begin())];
+  return c == kUndefined ? kUndefined : c + 1;
+}
+
+const std::vector<Value>& LinialColoringPhase::live_colors(
+    const NodeContext& ctx) {
+  live_.clear();
+  std::size_t pos = 0;
+  for (NodeId u : ctx.active_neighbors()) {
+    pos = neighbor_position(neighbors_, u, pos);
+    const Value c = neighbor_color_[pos];
+    if (c != kUndefined) live_.push_back(c);
+  }
+  return live_;
 }
 
 void LinialColoringPhase::on_send(NodeContext& ctx, Channel& ch) {
@@ -126,97 +172,52 @@ PhaseProgram::Status LinialColoringPhase::on_receive(NodeContext& ctx,
   ensure_schedule(ctx);
   if (done_) return Status::kFinished;
   ++step_;
+  std::size_t pos = 0;
   for (const Message* m : ch.inbox()) {
-    neighbor_color_[m->from] = m->words.at(0);
+    pos = neighbor_position(neighbors_, m->from, pos);
+    neighbor_color_[pos] = m->words.at(0);
   }
   const int num_steps = static_cast<int>(schedule_.steps.size());
   if (step_ <= num_steps) {
-    // One Linial reduction: find x ∈ GF(q) separating us from every live
-    // neighbor, new color = (x, p(x)).
-    const auto [k, q] = schedule_.steps[static_cast<std::size_t>(step_ - 1)];
-    std::int64_t chosen_x = -1;
-    for (std::int64_t x = 0; x < q && chosen_x < 0; ++x) {
-      bool ok = true;
-      const Value mine = poly_eval(color_, k, q, x);
-      for (NodeId u : ctx.active_neighbors()) {
-        auto it = neighbor_color_.find(u);
-        if (it == neighbor_color_.end()) continue;
-        DGAP_ASSERT(it->second != color_,
-                    "Linial invariant: the running coloring stays proper");
-        if (poly_eval(it->second, k, q, x) == mine) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) chosen_x = x;
-    }
-    DGAP_ASSERT(chosen_x >= 0,
-                "q > kΔ guarantees a separating evaluation point");
-    color_ = chosen_x * q + poly_eval(color_, k, q, chosen_x);
+    color_ = linial_recolor(
+        color_, live_colors(ctx),
+        schedule_.steps[static_cast<std::size_t>(step_ - 1)]);
   } else if (step_ <= num_steps + schedule_.reduction_rounds) {
-    const auto& op = schedule_.reduction[static_cast<std::size_t>(
-        step_ - num_steps - 1)];
+    const LinialReductionStep op = schedule_.reduction(step_ - num_steps - 1);
     const Value delta = ctx.delta();
-    if (op.block > 0) {
-      // Kuhn–Wattenhofer step: the scheduled offset of every block
-      // recolors into its block's lower Δ+1 slots, avoiding same-block
-      // neighbors only (other blocks occupy disjoint color ranges).
-      if (color_ % op.block == op.target_or_offset) {
-        const Value base = (color_ / op.block) * op.block;
-        std::vector<bool> used(static_cast<std::size_t>(delta + 1), false);
-        for (NodeId u : ctx.active_neighbors()) {
-          auto it = neighbor_color_.find(u);
-          if (it == neighbor_color_.end()) continue;
-          const Value nc = it->second;
-          if (nc >= base && nc < base + delta + 1) {
-            used[static_cast<std::size_t>(nc - base)] = true;
-          }
+    // Kuhn–Wattenhofer step (block > 0): the scheduled offset of every
+    // block recolors into its block's lower Δ+1 slots, avoiding same-block
+    // neighbors only (other blocks occupy disjoint color ranges). Class
+    // step: the one scheduled class recolors into {0..Δ}.
+    const bool moves = op.block > 0
+                           ? color_ % op.block == op.target_or_offset
+                           : color_ == op.target_or_offset;
+    if (moves) {
+      const Value base = op.block > 0 ? (color_ / op.block) * op.block : 0;
+      std::vector<bool> used(static_cast<std::size_t>(delta + 1), false);
+      for (Value nc : live_colors(ctx)) {
+        if (nc >= base && nc <= base + delta) {
+          used[static_cast<std::size_t>(nc - base)] = true;
         }
-        Value fresh = -1;
-        for (Value slot = 0; slot <= delta; ++slot) {
-          if (!used[static_cast<std::size_t>(slot)]) {
-            fresh = base + slot;
-            break;
-          }
-        }
-        DGAP_ASSERT(fresh >= 0, "a block's lower Δ+1 slots cannot fill up");
-        color_ = fresh;
       }
-      if (op.relabel) {
-        // Stage complete: compact the color space (pure local map,
-        // applied by every node simultaneously).
-        color_ = (color_ / op.block) * (delta + 1) + color_ % op.block;
+      if (op.block == 0 && options_.respect_terminated_outputs) {
+        // Palette colors already output by terminated neighbors (their
+        // outputs are 1-based palette colors; internal colors 0-based).
+        for (NodeId u : ctx.neighbors()) {
+          const Value out = ctx.neighbor_output(u);
+          if (out >= 1 && out <= delta + 1) {
+            used[static_cast<std::size_t>(out - 1)] = true;
+          }
+        }
       }
-    } else {
-      // Classic one-class-per-round elimination into {0..Δ}.
-      if (color_ == op.target_or_offset) {
-        std::vector<bool> used(static_cast<std::size_t>(delta + 1), false);
-        for (NodeId u : ctx.active_neighbors()) {
-          auto it = neighbor_color_.find(u);
-          if (it != neighbor_color_.end() && it->second <= delta) {
-            used[static_cast<std::size_t>(it->second)] = true;
-          }
-        }
-        if (options_.respect_terminated_outputs) {
-          // Palette colors already output by terminated neighbors (their
-          // outputs are 1-based palette colors; internal colors 0-based).
-          for (NodeId u : ctx.neighbors()) {
-            const Value out = ctx.neighbor_output(u);
-            if (out >= 1 && out <= delta + 1) {
-              used[static_cast<std::size_t>(out - 1)] = true;
-            }
-          }
-        }
-        Value fresh = -1;
-        for (Value c = 0; c <= delta; ++c) {
-          if (!used[static_cast<std::size_t>(c)]) {
-            fresh = c;
-            break;
-          }
-        }
-        DGAP_ASSERT(fresh >= 0, "a Δ+1 palette always has a free color");
-        color_ = fresh;
-      }
+      const auto slot = std::find(used.begin(), used.end(), false);
+      DGAP_ASSERT(slot != used.end(), "Δ+1 slots always have a free one");
+      color_ = base + (slot - used.begin());
+    }
+    if (op.relabel) {
+      // Stage complete: compact the color space (pure local map, applied
+      // by every node simultaneously).
+      color_ = (color_ / op.block) * (delta + 1) + color_ % op.block;
     }
   } else {
     // Final announce round already happened via this round's broadcast.

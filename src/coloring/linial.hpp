@@ -14,16 +14,20 @@
 //
 // The whole schedule is a pure function of (d, Δ), so every node computes
 // the same round budget — exactly what the Consecutive and Parallel
-// templates need. The algorithm is fault-tolerant in the sense of
-// Section 7.4: every step only compares against *live* neighbors, so if
-// nodes vanish mid-run the surviving partial coloring stays proper.
+// templates need. It is O(log* d) words: the Linial steps plus the few
+// numbers every reduction round follows from. The O(Δ²) reduction rounds
+// are never stored; LinialSchedule::reduction(i) derives round i in O(1).
+// The algorithm is fault-tolerant in the sense of Section 7.4: every step
+// only compares against *live* neighbors, so if nodes vanish mid-run the
+// surviving partial coloring stays proper.
 //
 // LinialColoringPhase does not write node outputs: the final color is held
 // in local state (own_color / neighbor color accessors), because in the
-// Parallel template part 1 must stash results locally.
+// Parallel template part 1 must stash results locally. Its per-node state
+// is O(deg): one neighbor color per adjacency position.
 #pragma once
 
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "sim/phase.hpp"
@@ -54,12 +58,21 @@ struct LinialReductionStep {
   bool relabel = false;
 };
 
+/// The reduction stage is kw_stages Kuhn–Wattenhofer stages of Δ+1 rounds
+/// each (round t of a stage handles block offset Δ+1+t and the last one
+/// relabels), then one class per round from class_top downwards until
+/// reduction_rounds are used up.
 struct LinialSchedule {
-  std::vector<LinialStep> steps;            // one round each
-  std::int64_t final_colors;                // palette size after the steps
-  std::vector<LinialReductionStep> reduction;  // one round each
-  int reduction_rounds;                     // == reduction.size()
-  int total_rounds;                         // steps + reduction + 1
+  std::vector<LinialStep> steps;  // one round each; O(log* d) entries
+  std::int64_t final_colors = 1;  // palette size after the steps
+  int delta = 0;
+  int kw_stages = 0;        // Kuhn–Wattenhofer stages before the class tail
+  Value class_top = 0;      // first class of the class-by-class tail
+  int reduction_rounds = 0;
+  int total_rounds = 1;     // steps + reduction + 1
+
+  /// Reduction round i, 0 <= i < reduction_rounds, derived in O(1).
+  LinialReductionStep reduction(int i) const;
 };
 
 /// Deterministic schedule for identifiers in {1..d} and max degree Δ.
@@ -71,7 +84,8 @@ struct LinialSchedule {
 /// the palette from O(Δ²) to 2(Δ+1) in O(Δ log Δ) rounds before the
 /// class-by-class tail — asymptotically closer to the Barenboim–Elkin
 /// O(Δ + log* d) bound the paper's Corollary 12 cites. Mutually
-/// exclusive with reduce_all_classes.
+/// exclusive with reduce_all_classes. Throws std::invalid_argument if the
+/// round count does not fit an int.
 LinialSchedule linial_schedule(std::int64_t d, int delta,
                                bool reduce_all_classes = false,
                                bool kw_reduction = false);
@@ -114,8 +128,8 @@ class LinialColoringPhase final : public PhaseProgram {
 
  private:
   void ensure_schedule(const NodeContext& ctx);
-  Value poly_eval(Value color, std::int64_t k, std::int64_t q,
-                  std::int64_t x) const;
+  /// Colors last heard from the live neighbors, in adjacency order.
+  const std::vector<Value>& live_colors(const NodeContext& ctx);
 
   LinialOptions options_;
   bool scheduled_ = false;
@@ -123,8 +137,18 @@ class LinialColoringPhase final : public PhaseProgram {
   int step_ = 0;
   bool done_ = false;
   Value color_ = 0;
-  std::unordered_map<NodeId, Value> neighbor_color_;
+  std::span<const NodeId> neighbors_;  // the graph's adjacency of this node
+  // Last color heard from each neighbor, by position in neighbors_;
+  // kUndefined if never heard.
+  std::vector<Value> neighbor_color_;
+  std::vector<Value> live_;  // live_colors() buffer, reused every round
 };
+
+/// One Linial step: the new color (x, p_color(x)) of a node colored
+/// `color` whose live neighbors hold `others`, for the smallest x ∈ GF(q)
+/// at which p_color differs from every p_other.
+Value linial_recolor(Value color, std::span<const Value> others,
+                     LinialStep step);
 
 /// Complete (Δ+1)-coloring algorithm: run the phase, then every node
 /// outputs its palette color and terminates (one extra round).

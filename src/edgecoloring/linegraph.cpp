@@ -1,6 +1,7 @@
 #include "edgecoloring/linegraph.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "common/require.hpp"
 
@@ -8,8 +9,18 @@ namespace dgap {
 
 namespace {
 
+/// Largest identifier bound d whose line-graph bound (d+1)² fits an int64.
+constexpr std::int64_t kMaxLineGraphD = 3'037'000'498;
+
+/// Identifier bound of the line graph: (d+1)², checked against overflow.
+std::int64_t line_graph_id_bound(std::int64_t d) {
+  DGAP_REQUIRE(d >= 1 && d <= kMaxLineGraphD,
+               "line-graph identifiers (d+1)² overflow int64");
+  return (d + 1) * (d + 1);
+}
+
 /// Distinct line-graph identifier of the edge {a, b} (endpoint ids),
-/// in [1, (d+1)²).
+/// in [1, (d+1)²); d must have passed line_graph_id_bound.
 Value edge_identifier(Value a, Value b, std::int64_t d) {
   const Value lo = std::min(a, b), hi = std::max(a, b);
   return lo * (d + 1) + hi;
@@ -19,7 +30,7 @@ Value edge_identifier(Value a, Value b, std::int64_t d) {
 
 int line_graph_linial_total_rounds(std::int64_t d, int delta) {
   const int delta_l = std::max(2 * delta - 2, 0);
-  return linial_schedule((d + 1) * (d + 1), delta_l,
+  return linial_schedule(line_graph_id_bound(d), delta_l,
                          /*reduce_all_classes=*/true)
       .total_rounds;
 }
@@ -27,12 +38,17 @@ int line_graph_linial_total_rounds(std::int64_t d, int delta) {
 void LineGraphLinialPhase::ensure_schedule(NodeContext& ctx) {
   if (scheduled_) return;
   delta_l_ = std::max(2 * static_cast<Value>(ctx.delta()) - 2, Value{0});
-  schedule_ = linial_schedule((ctx.d() + 1) * (ctx.d() + 1),
+  schedule_ = linial_schedule(line_graph_id_bound(ctx.d()),
                               static_cast<int>(delta_l_),
                               /*reduce_all_classes=*/true);
+  neighbors_ = ctx.neighbors();
+  edge_color_.assign(neighbors_.size(), kUndefined);
+  heard_.resize(neighbors_.size());
+  std::size_t pos = 0;
   for (NodeId u : ctx.active_neighbors()) {
+    pos = neighbor_position(neighbors_, u, pos);
     if (ctx.output_for(u) == kUndefined) {
-      edge_color_[u] =
+      edge_color_[pos] =
           delta_l_ == 0
               ? 0
               : edge_identifier(ctx.id(), ctx.neighbor_id(u), ctx.d()) - 1;
@@ -41,23 +57,27 @@ void LineGraphLinialPhase::ensure_schedule(NodeContext& ctx) {
   scheduled_ = true;
 }
 
-Value LineGraphLinialPhase::poly_eval(Value color, std::int64_t k,
-                                      std::int64_t q, std::int64_t x) const {
-  Value coeff[65];
-  Value c = color;
-  for (std::int64_t i = 0; i <= k; ++i) {
-    coeff[i] = c % q;
-    c /= q;
-  }
-  Value acc = 0;
-  for (std::int64_t i = k; i >= 0; --i) acc = (acc * x + coeff[i]) % q;
-  return acc;
+Value LineGraphLinialPhase::edge_palette_color(NodeId u) const {
+  const auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(), u);
+  if (it == neighbors_.end() || *it != u) return kUndefined;
+  const Value c =
+      edge_color_[static_cast<std::size_t>(it - neighbors_.begin())];
+  return c == kUndefined ? kUndefined : c + 1;
 }
 
-Value LineGraphLinialPhase::edge_palette_color(NodeId u) const {
-  auto it = edge_color_.find(u);
-  if (it == edge_color_.end()) return kUndefined;
-  return it->second + 1;
+const std::vector<Value>& LineGraphLinialPhase::adjacent_colors(
+    std::size_t p, Value my_id) {
+  adjacent_.clear();
+  for (std::size_t w = 0; w < edge_color_.size(); ++w) {
+    if (w != p && edge_color_[w] != kUndefined) {
+      adjacent_.push_back(edge_color_[w]);
+    }
+  }
+  const std::span<const Value> pairs = heard_[p].pairs;
+  for (std::size_t i = 0; i < pairs.size(); i += 2) {
+    if (pairs[i] != my_id) adjacent_.push_back(pairs[i + 1]);
+  }
+  return adjacent_;
 }
 
 void LineGraphLinialPhase::on_send(NodeContext& ctx, Channel& ch) {
@@ -66,20 +86,21 @@ void LineGraphLinialPhase::on_send(NodeContext& ctx, Channel& ch) {
   // [U, (co-endpoint id, color)*U, C, output colors*C]. The co-endpoint id
   // lets the receiver identify the shared edge and the rest of the list
   // gives the adjacent-edge constraints at this endpoint.
-  std::vector<Value> words;
-  words.push_back(static_cast<Value>(edge_color_.size()));
-  for (const auto& [u, c] : edge_color_) {
-    words.push_back(ctx.neighbor_id(u));
-    words.push_back(c);
+  words_.assign(1, 0);
+  for (std::size_t p = 0; p < neighbors_.size(); ++p) {
+    if (edge_color_[p] == kUndefined) continue;
+    words_.push_back(ctx.neighbor_id(neighbors_[p]));
+    words_.push_back(edge_color_[p]);
   }
-  std::vector<Value> used;
-  for (NodeId u : ctx.neighbors()) {
+  words_[0] = static_cast<Value>(words_.size() / 2);
+  const std::size_t used_at = words_.size();
+  words_.push_back(0);
+  for (NodeId u : neighbors_) {
     const Value c = ctx.output_for(u);
-    if (c != kUndefined) used.push_back(c);
+    if (c != kUndefined) words_.push_back(c);
   }
-  words.push_back(static_cast<Value>(used.size()));
-  words.insert(words.end(), used.begin(), used.end());
-  ch.broadcast(words);
+  words_[used_at] = static_cast<Value>(words_.size() - used_at - 1);
+  ch.broadcast(words_);
 }
 
 PhaseProgram::Status LineGraphLinialPhase::on_receive(NodeContext& ctx,
@@ -90,107 +111,63 @@ PhaseProgram::Status LineGraphLinialPhase::on_receive(NodeContext& ctx,
   // Prune edges whose co-endpoint vanished (treated as crashed: its edges
   // leave the remaining problem) and edges colored meanwhile by a
   // concurrently running uniform algorithm (Parallel template).
-  for (auto it = edge_color_.begin(); it != edge_color_.end();) {
-    if (!ctx.neighbor_active(it->first) ||
-        ctx.output_for(it->first) != kUndefined) {
-      it = edge_color_.erase(it);
-    } else {
-      ++it;
+  for (std::size_t p = 0; p < neighbors_.size(); ++p) {
+    const NodeId u = neighbors_[p];
+    if (edge_color_[p] != kUndefined &&
+        (!ctx.neighbor_active(u) || ctx.output_for(u) != kUndefined)) {
+      edge_color_[p] = kUndefined;
     }
   }
-  neighbor_info_.clear();
-  std::map<NodeId, std::vector<Value>> neighbor_used;
+  std::fill(heard_.begin(), heard_.end(), Heard{});
+  std::size_t pos = 0;
   for (const Message* m : ch.inbox()) {
-    std::size_t pos = 0;
-    const auto& w = m->words;
-    const auto cnt = static_cast<std::size_t>(w.at(pos++));
-    auto& list = neighbor_info_[m->from];
-    for (std::size_t i = 0; i < cnt; ++i) {
-      const Value uid = w.at(pos++);
-      const Value col = w.at(pos++);
-      list.emplace_back(uid, col);
-    }
-    const auto used_cnt = static_cast<std::size_t>(w.at(pos++));
-    auto& used = neighbor_used[m->from];
-    for (std::size_t i = 0; i < used_cnt; ++i) used.push_back(w.at(pos++));
+    pos = neighbor_position(neighbors_, m->from, pos);
+    const WordSpan& w = m->words;
+    const auto cnt = static_cast<std::size_t>(w.at(0));
+    const auto used_cnt = static_cast<std::size_t>(w.at(1 + 2 * cnt));
+    DGAP_ASSERT(w.size() == 2 + 2 * cnt + used_cnt,
+                "malformed line-graph Linial broadcast");
+    heard_[pos] = {{w.data() + 1, 2 * cnt},
+                   {w.data() + 2 + 2 * cnt, used_cnt}};
   }
 
+  const Value my_id = ctx.id();
   const int num_steps = static_cast<int>(schedule_.steps.size());
   if (step_ <= num_steps) {
-    const auto [k, q] = schedule_.steps[static_cast<std::size_t>(step_ - 1)];
-    std::map<NodeId, Value> next;
-    for (const auto& [u, my_color] : edge_color_) {
-      // Adjacent edge colors: my other live edges + u's other live edges.
-      std::vector<Value> constraints;
-      for (const auto& [w, c] : edge_color_) {
-        if (w != u) constraints.push_back(c);
-      }
-      auto it = neighbor_info_.find(u);
-      if (it != neighbor_info_.end()) {
-        for (const auto& [uid, c] : it->second) {
-          if (uid != ctx.id()) constraints.push_back(c);
-        }
-      }
-      std::int64_t chosen_x = -1;
-      for (std::int64_t x = 0; x < q && chosen_x < 0; ++x) {
-        const Value mine = poly_eval(my_color, k, q, x);
-        bool ok = true;
-        for (Value c : constraints) {
-          DGAP_ASSERT(c != my_color,
-                      "line-graph Linial invariant: proper throughout");
-          if (poly_eval(c, k, q, x) == mine) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) chosen_x = x;
-      }
-      DGAP_ASSERT(chosen_x >= 0, "q > kΔ_L guarantees a separating point");
-      next[u] = chosen_x * q + poly_eval(my_color, k, q, chosen_x);
+    const LinialStep step =
+        schedule_.steps[static_cast<std::size_t>(step_ - 1)];
+    next_color_ = edge_color_;
+    for (std::size_t p = 0; p < edge_color_.size(); ++p) {
+      if (edge_color_[p] == kUndefined) continue;
+      next_color_[p] =
+          linial_recolor(edge_color_[p], adjacent_colors(p, my_id), step);
     }
-    edge_color_ = std::move(next);
+    edge_color_.swap(next_color_);
   } else if (step_ <= num_steps + schedule_.reduction_rounds) {
     const Value target = schedule_.final_colors - (step_ - num_steps);
-    for (auto& [u, my_color] : edge_color_) {
-      if (my_color != target) continue;
+    for (std::size_t p = 0; p < edge_color_.size(); ++p) {
+      if (edge_color_[p] != target) continue;
       std::vector<bool> used(static_cast<std::size_t>(delta_l_ + 1), false);
       auto mark = [&](Value c) {
         if (c >= 0 && c <= delta_l_) used[static_cast<std::size_t>(c)] = true;
       };
-      for (const auto& [w, c] : edge_color_) {
-        if (w != u) mark(c);
-      }
-      auto it = neighbor_info_.find(u);
-      if (it != neighbor_info_.end()) {
-        for (const auto& [uid, c] : it->second) {
-          if (uid != ctx.id()) mark(c);
-        }
-      }
+      for (Value c : adjacent_colors(p, my_id)) mark(c);
       // Colors already OUTPUT on adjacent edges (palette values are
       // 1-based; internal colors 0-based).
-      for (NodeId w : ctx.neighbors()) {
+      for (NodeId w : neighbors_) {
         const Value out = ctx.output_for(w);
         if (out != kUndefined) mark(out - 1);
       }
-      auto itu = neighbor_used.find(u);
-      if (itu != neighbor_used.end()) {
-        for (Value out : itu->second) mark(out - 1);
-      }
-      Value fresh = -1;
-      for (Value c = 0; c <= delta_l_; ++c) {
-        if (!used[static_cast<std::size_t>(c)]) {
-          fresh = c;
-          break;
-        }
-      }
-      DGAP_ASSERT(fresh >= 0, "the 2Δ−1 palette always has a free color");
-      my_color = fresh;
+      for (Value out : heard_[p].outputs) mark(out - 1);
+      const auto free_color = std::find(used.begin(), used.end(), false);
+      DGAP_ASSERT(free_color != used.end(),
+                  "the 2Δ−1 palette always has a free color");
+      edge_color_[p] = free_color - used.begin();
     }
   } else {
-    for (const auto& [u, c] : edge_color_) {
-      DGAP_ASSERT(c >= 0 && c <= delta_l_,
+    for (Value c : edge_color_) {
+      DGAP_ASSERT(c == kUndefined || (c >= 0 && c <= delta_l_),
                   "final line-graph colors must fit the palette");
-      (void)u;
     }
     done_ = true;
     return Status::kFinished;

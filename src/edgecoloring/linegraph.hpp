@@ -19,9 +19,12 @@
 // already OUTPUT on adjacent edges (the palette bookkeeping of Section
 // 8.3), so the phase correctly extends a partial edge coloring left by the
 // base algorithm.
+//
+// Per-node state is O(deg): flat arrays over the node's adjacency
+// positions, reused round after round.
 #pragma once
 
-#include <map>
+#include <span>
 #include <vector>
 
 #include "coloring/linial.hpp"
@@ -30,7 +33,9 @@
 namespace dgap {
 
 /// Round bound of the line-graph Linial phase for identifiers ≤ d and max
-/// degree Δ (pure function — usable as a template schedule).
+/// degree Δ (pure function — usable as a template schedule). Edge
+/// identifiers range up to (d+1)², so d must keep that within int64:
+/// larger d throws std::invalid_argument.
 int line_graph_linial_total_rounds(std::int64_t d, int delta);
 
 class LineGraphLinialPhase final : public PhaseProgram {
@@ -48,18 +53,33 @@ class LineGraphLinialPhase final : public PhaseProgram {
 
  private:
   void ensure_schedule(NodeContext& ctx);
-  Value poly_eval(Value color, std::int64_t k, std::int64_t q,
-                  std::int64_t x) const;
+  /// Colors of the edges adjacent to the edge at position p: this node's
+  /// other live edges, then the co-endpoint's other live edges.
+  const std::vector<Value>& adjacent_colors(std::size_t p, Value my_id);
+
+  // One neighbor's broadcast this round, split into its (co-endpoint id,
+  // color) pairs and its output colors; both empty if it sent nothing.
+  struct Heard {
+    std::span<const Value> pairs;
+    std::span<const Value> outputs;
+  };
 
   bool scheduled_ = false;
   LinialSchedule schedule_;
   Value delta_l_ = 0;  // Δ_L = max(2Δ−2, 0)
   int step_ = 0;
   bool done_ = false;
-  // Current internal color of each live uncolored incident edge.
-  std::map<NodeId, Value> edge_color_;
-  // Latest broadcast from each neighbor: list of (co-endpoint id, color).
-  std::map<NodeId, std::vector<std::pair<Value, Value>>> neighbor_info_;
+  std::span<const NodeId> neighbors_;  // the graph's adjacency of this node
+  // By position in neighbors_: the current internal color of each live
+  // uncolored incident edge (kUndefined once colored or pruned, or if it
+  // never was part of the phase), and each neighbor's broadcast of this
+  // round (valid during on_receive only).
+  std::vector<Value> edge_color_;
+  std::vector<Heard> heard_;
+  // Buffers reused every round.
+  std::vector<Value> next_color_;
+  std::vector<Value> adjacent_;
+  std::vector<Value> words_;
 };
 
 /// Part 2 for edge coloring: output the stored colors (one round).

@@ -18,8 +18,10 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "common/require.hpp"
 #include "sim/engine.hpp"
 
 namespace dgap {
@@ -104,6 +106,19 @@ class Channel {
   NodeContext* ctx_;
   int id_;
 };
+
+/// Position of neighbor u in a node's ascending adjacency `neighbors`,
+/// searching forward from `from`. Inboxes are ordered by sender and
+/// active_neighbors() ascends, so a phase keeping per-neighbor state in
+/// arrays over adjacency positions maps a whole round with one merge walk,
+/// passing each returned position back in as the next `from`.
+inline std::size_t neighbor_position(std::span<const NodeId> neighbors,
+                                     NodeId u, std::size_t from) {
+  while (from < neighbors.size() && neighbors[from] < u) ++from;
+  DGAP_ASSERT(from < neighbors.size() && neighbors[from] == u,
+              "not a neighbor, or visited out of order");
+  return from;
+}
 
 class PhaseProgram {
  public:

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "coloring/checkers.hpp"
 #include "coloring/linial.hpp"
+#include "edgecoloring/linegraph.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
@@ -299,6 +305,115 @@ TEST(LinialKw, ParallelTemplateVariantValidAndCapped) {
     const int r1 = linial_total_rounds_kw(g.id_bound(), g.max_degree());
     EXPECT_LE(result.rounds, 3 + r1 + 1 + g.max_degree() + 2 + 1);
   }
+}
+
+// The reduction plan as it was built before the schedule derived its
+// rounds: one materialized entry per round. Kept here as the reference the
+// derived LinialSchedule::reduction(i) must reproduce exactly.
+std::vector<LinialReductionStep> materialized_reduction_plan(
+    std::int64_t m, int delta, bool reduce_all_classes, bool kw_reduction) {
+  std::vector<LinialReductionStep> plan;
+  if (delta == 0) return plan;
+  auto class_tail = [&](std::vector<LinialReductionStep>& out,
+                        std::int64_t colors) {
+    const Value floor = reduce_all_classes ? 0 : delta + 1;
+    for (Value c = colors - 1; c >= floor; --c) out.push_back({0, c, false});
+  };
+  if (kw_reduction) {
+    std::vector<LinialReductionStep> kw_plan;
+    std::int64_t mk = m;
+    const Value block = 2 * (static_cast<Value>(delta) + 1);
+    while (mk > block) {
+      if (mk - (delta + 1) <= delta + 1) break;
+      for (Value t = 0; t <= delta; ++t) {
+        kw_plan.push_back(
+            {block, static_cast<Value>(delta) + 1 + t, t == delta});
+      }
+      mk = ceil_div(mk, block) * (delta + 1);
+    }
+    class_tail(kw_plan, mk);
+    std::vector<LinialReductionStep> plain_plan;
+    class_tail(plain_plan, m);
+    return kw_plan.size() < plain_plan.size() ? kw_plan : plain_plan;
+  }
+  class_tail(plan, m);
+  return plan;
+}
+
+TEST(LinialSchedule, DerivedReductionMatchesMaterializedPlan) {
+  const std::int64_t ds[] = {1, 2, 100, 4096, 4097LL * 4097, 1LL << 40};
+  const int deltas[] = {0, 1, 2, 3, 5, 19, 36};
+  std::vector<std::pair<std::int64_t, int>> grid;
+  for (std::int64_t d : ds) {
+    for (int delta : deltas) grid.emplace_back(d, delta);
+  }
+  // d = 3(Δ+1) ≤ q₁² is its own final palette, where one KW stage ties
+  // the plain tail (2(Δ+1) rounds each): the tie must keep the plain plan.
+  for (int delta : deltas) grid.emplace_back(3 * (delta + 1), delta);
+  int kw_schedules = 0;
+  for (const auto& [d, delta] : grid) {
+    for (int mode = 0; mode < 3; ++mode) {
+      const bool respecting = mode == 1, kw = mode == 2;
+      SCOPED_TRACE("d=" + std::to_string(d) + " delta=" +
+                   std::to_string(delta) + " mode=" + std::to_string(mode));
+      const LinialSchedule s = linial_schedule(d, delta, respecting, kw);
+      // The steps are the O(log* d) part every variant shares.
+      std::vector<LinialStep> steps;
+      std::int64_t m = delta == 0 ? 1 : d;
+      while (delta > 0) {
+        std::int64_t k = 1, q = 0;
+        for (;; ++k) {
+          q = next_prime(k * delta + 1);
+          if (ipow_sat(q, static_cast<int>(k + 1)) >= m) break;
+        }
+        if (q * q >= m) break;
+        steps.push_back({k, q});
+        m = q * q;
+      }
+      ASSERT_EQ(s.steps.size(), steps.size());
+      for (std::size_t i = 0; i < steps.size(); ++i) {
+        EXPECT_EQ(s.steps[i].k, steps[i].k);
+        EXPECT_EQ(s.steps[i].q, steps[i].q);
+      }
+      EXPECT_EQ(s.final_colors, m);
+      const auto plan = materialized_reduction_plan(m, delta, respecting, kw);
+      ASSERT_EQ(s.reduction_rounds, static_cast<int>(plan.size()));
+      EXPECT_EQ(s.total_rounds,
+                static_cast<int>(steps.size() + plan.size()) + 1);
+      for (int i = 0; i < s.reduction_rounds; ++i) {
+        const LinialReductionStep got = s.reduction(i);
+        const LinialReductionStep& want = plan[static_cast<std::size_t>(i)];
+        ASSERT_EQ(got.block, want.block) << "round " << i;
+        ASSERT_EQ(got.target_or_offset, want.target_or_offset)
+            << "round " << i;
+        ASSERT_EQ(got.relabel, want.relabel) << "round " << i;
+      }
+      if (s.kw_stages > 0) ++kw_schedules;
+    }
+  }
+  // The grid reaches the KW stages, not only the class tail.
+  EXPECT_GT(kw_schedules, 0);
+}
+
+TEST(LinialSchedule, RoundCountOverflowThrows) {
+  // Δ = 5·10⁴ with d = 2⁴⁰ stabilizes at q² ≈ 10¹⁰ colors (q the smallest
+  // prime > 2Δ), one reduction round per class: more rounds than an int.
+  EXPECT_THROW(linial_schedule(1LL << 40, 50'000, true),
+               std::invalid_argument);
+  EXPECT_THROW(linial_total_rounds(1LL << 40, 50'000), std::invalid_argument);
+  // With d = 1000 ≤ q₁² the palette is the d identifiers themselves, so the
+  // same Δ gives a 1000-round tail that fits.
+  EXPECT_EQ(linial_schedule(1000, 50'000, true).reduction_rounds, 1000);
+}
+
+TEST(LineGraphLinial, IdentifierBoundOverflowThrows) {
+  // Edge identifiers reach (d+1)², which overflows int64 past
+  // d = 3 037 000 498.
+  EXPECT_THROW(line_graph_linial_total_rounds(1LL << 40, 3),
+               std::invalid_argument);
+  EXPECT_THROW(line_graph_linial_total_rounds(3'037'000'499LL, 3),
+               std::invalid_argument);
+  EXPECT_GT(line_graph_linial_total_rounds(3'037'000'498LL, 3), 0);
 }
 
 TEST(LinialMisReference, SolvesMis) {

@@ -94,6 +94,41 @@ const std::vector<CanonicalCase>& canonical_cases() {
       out.push_back(std::move(c));
     }
 
+    // 6. The line-graph Linial phase as the Parallel template's reference
+    // (one Linial step on (d+1)² edge identifiers, then the class tail),
+    // running beside the uniform matcher: pins the phase's per-edge
+    // broadcast order and its pruning of edges matched meanwhile.
+    {
+      CanonicalCase c;
+      c.name = "matching_parallel_gnp48";
+      c.description =
+          "maximal matching (parallel line-graph template) on gnp(48, "
+          "p=0.1, seed 5), 8 broken matches";
+      c.spec = GraphSpec::gnp(48, 0.1, 5);
+      c.provider = perturbed_provider(8);
+      c.kind = ProblemKind::kMatching;
+      c.prediction_seed = 2718;
+      c.factory = [] { return matching_parallel_linegraph(); };
+      out.push_back(std::move(c));
+    }
+
+    // 7. Vertex Linial as the Parallel template's reference on a sparse
+    // graph large enough (d = 180 > q₁² at Δ = 4) for one polynomial
+    // step before the class tail.
+    {
+      CanonicalCase c;
+      c.name = "coloring_parallel_gnp180";
+      c.description =
+          "(Δ+1)-coloring (parallel Linial template) on gnp(180, p=0.008, "
+          "seed 1), 16 recolored nodes";
+      c.spec = GraphSpec::gnp(180, 0.008, 1);
+      c.provider = perturbed_provider(16);
+      c.kind = ProblemKind::kColoring;
+      c.prediction_seed = 3141;
+      c.factory = [] { return coloring_parallel_linial(); };
+      out.push_back(std::move(c));
+    }
+
     return out;
   }();
   return cases;

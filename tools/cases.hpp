@@ -10,7 +10,8 @@
 // fast path (Luby on G(n, p)), the enforced link layer under kDefer
 // (CONGEST global MIS), and a composed prediction template cut mid-run;
 // plus the one edge-valued problem (edge coloring fed per-edge
-// predictions, ending in edge-output termination records).
+// predictions, ending in edge-output termination records), and the two
+// Linial references (vertex and line graph) as Parallel-template part 1.
 #pragma once
 
 #include <cstdint>
